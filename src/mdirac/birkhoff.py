@@ -46,7 +46,6 @@ from .poly import (
 )
 from .smooth import SmoothMap, canonical_J
 
-TAU_NF = 1e-9
 TAU_RES = 1e-9
 TAU_TWIN = 1e-8
 
@@ -783,8 +782,8 @@ def _transform_structure(ps: StructuredStructure, T: np.ndarray,
 
 
 def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
-                         K: int = 4, tau_res: float = TAU_RES,
-                         tau_nf: float = TAU_NF) -> NormalFormResult:
+                         K: int = 4, tau_res: float = TAU_RES
+                         ) -> NormalFormResult:
     """Order-by-order normalization of an equilibrium Hamiltonian.
 
     H must have a critical point at the origin and an elliptic quadratic
@@ -889,18 +888,15 @@ def transform_symplectic_defect(result: NormalFormResult,
 
 
 def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,
-                           K: int = 4, tau_res: float = TAU_RES,
-                           tau_nf: float = TAU_NF,
-                           check_symplectic: bool | None = None
+                           K: int = 4, tau_res: float = TAU_RES
                            ) -> NormalFormResult:
-    """Normal form plus conjugation / symplecticity residuals filled in."""
-    result = birkhoff_normal_form(H_chart, ps, K=K, tau_res=tau_res,
-                                  tau_nf=tau_nf)
+    """Normal form plus conjugation / symplecticity residuals filled in;
+    the symplecticity check runs for every structure but a restricted
+    (StructuredStructure) one."""
+    result = birkhoff_normal_form(H_chart, ps, K=K, tau_res=tau_res)
     result.residual_report["conjugation_defect"] = conjugation_defect(
         result, H_chart)
-    if check_symplectic is None:
-        check_symplectic = not isinstance(ps, StructuredStructure)
-    if check_symplectic:
+    if not isinstance(ps, StructuredStructure):
         result.residual_report["symplectic_defect"] = \
             transform_symplectic_defect(result)
     return result

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import TruncatedPoly, StructuredStructure
-from .smooth import J_apply, SmoothMap, canonical_J
+from .smooth import J_apply, SmoothMap
 
 #: rank / singular-value thresholds (scaled by the matrix norm)
 TAU_RANK = 1e-8
@@ -26,6 +26,9 @@ TAU_SING = 1e-8
 TAU_ON_N = 1e-8
 #: first-class threshold on the sup norm of C
 TAU_FIRST = 1e-9
+#: Newton projection onto {phi = 0}: residual tolerance and step cap
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 FIRST_CLASS = "FirstClass"
 SECOND_CLASS = "SecondClass"
@@ -105,62 +108,53 @@ class ConstraintSet:
                              polys=polys, names=self.names + other.names)
 
 
-def constraint_matrix(cs: ConstraintSet, x) -> np.ndarray:
-    """C_ij = {phi_i, phi_j}(x) = grad(phi_i)^T J0 grad(phi_j)."""
-    G = cs.jacobian(x)
-    if not np.all(np.isfinite(G)):
-        raise ValueError("non-finite constraint gradients at x")
-    XG = np.vstack([J_apply(g) for g in G])        # rows = X_{phi_j}
-    C = G @ XG.T
-    skew_defect = np.max(np.abs(C + C.T))
-    if skew_defect > 1e-10 * max(1.0, np.max(np.abs(C))):
-        raise ValueError("constraint matrix lost antisymmetry (defect %g)"
-                         % skew_defect)
-    return 0.5 * (C - C.T)
-
-
-def _pointwise_class(cs, x, tau_sing=TAU_SING, tau_first=TAU_FIRST,
-                     tau_rank=TAU_RANK):
-    """Classification, C, its singular values and the Jacobian rank at x."""
-    G = cs.jacobian(x)
-    sv_G = scipy.linalg.svdvals(G)
-    rank = int(np.sum(sv_G > tau_rank * max(1.0, sv_G[0] if sv_G.size else 0.0)))
-    C = constraint_matrix(cs, x)
-    sv_C = scipy.linalg.svdvals(C)
-    smax = sv_C[0] if sv_C.size else 0.0
-    smin = sv_C[-1] if sv_C.size else 0.0
-    if rank < cs.k:
-        cls = MIXED
-    elif np.max(np.abs(C)) < tau_first:
-        cls = FIRST_CLASS
-    elif smin > tau_sing * max(1.0, smax):
-        cls = SECOND_CLASS
-    else:
-        cls = MIXED
-    return cls, C, smin, smax, rank
+def _constraint_fields(G) -> np.ndarray:
+    """Rows X_phi_i = J0 grad(phi_i) of stacked constraint gradients G."""
+    m = G.shape[1] // 2
+    return np.concatenate([G[:, m:], -G[:, :m]], axis=1)
 
 
 class DiracContext:
-    """Constraint data frozen at a point: C, its inverse and class.
+    """Constraint geometry frozen at a point: the gradients G, the
+    constraint fields XG (rows X_phi_i), C = G XG^T, its inverse and
+    the class, each evaluated once.
 
-    Immutable after construction; ``C_inv`` is None unless the set is
-    second-class at the point (LU inversion with partial pivoting).
+    ``cs`` is any object with ``jacobian(x)`` and ``k``: a ConstraintSet
+    or a closed-form stand-in.  Immutable after construction; ``C_inv``
+    is None unless the set is second-class at the point (LU inversion
+    with partial pivoting).
     """
 
-    def __init__(self, cs: ConstraintSet, x, tau_sing=TAU_SING,
-                 tau_first=TAU_FIRST):
+    def __init__(self, cs, x):
         self.cs = cs
         self.x = np.asarray(x, dtype=float)
-        cls, C, smin, smax, rank = _pointwise_class(cs, self.x, tau_sing,
-                                                    tau_first)
-        self.C = C
-        self.classification = cls
-        self.sigma_min = smin
-        self.rank_dphi = rank
+        G = np.asarray(cs.jacobian(self.x), dtype=float)   # (k, n)
+        if not np.all(np.isfinite(G)):
+            raise ValueError("non-finite constraint gradients at x")
+        self.G = G
+        self.XG = _constraint_fields(G)
+        C = G @ self.XG.T                  # C_ij = {phi_i, phi_j}
+        skew_defect = np.max(np.abs(C + C.T))
+        if skew_defect > 1e-10 * max(1.0, np.max(np.abs(C))):
+            raise ValueError("constraint matrix lost antisymmetry (defect %g)"
+                             % skew_defect)
+        C = self.C = 0.5 * (C - C.T)
+        sv_G = scipy.linalg.svdvals(G)
+        self.rank_dphi = int(np.sum(
+            sv_G > TAU_RANK * max(1.0, sv_G[0] if sv_G.size else 0.0)))
+        sv_C = scipy.linalg.svdvals(C)
+        smax = sv_C[0] if sv_C.size else 0.0
+        smin = self.sigma_min = sv_C[-1] if sv_C.size else 0.0
         self.cond = (smax / smin) if smin > 0 else np.inf
-        self.G = cs.jacobian(self.x)               # (k, n) gradients
-        self.XG = np.vstack([J_apply(g) for g in self.G])  # constraint fields
-        if cls == SECOND_CLASS:
+        if self.rank_dphi < cs.k:
+            self.classification = MIXED
+        elif np.max(np.abs(C)) < TAU_FIRST:
+            self.classification = FIRST_CLASS
+        elif smin > TAU_SING * max(1.0, smax):
+            self.classification = SECOND_CLASS
+        else:
+            self.classification = MIXED
+        if self.classification == SECOND_CLASS:
             lu, piv = scipy.linalg.lu_factor(C)
             self.C_inv = scipy.linalg.lu_solve((lu, piv), np.eye(cs.k))
         else:
@@ -172,12 +166,12 @@ class DiracContext:
                              "at x = %s" % (self.classification, self.x))
 
 
-def make_context(cs: ConstraintSet, x, **kw) -> DiracContext:
-    return DiracContext(cs, x, **kw)
+def constraint_matrix(cs: ConstraintSet, x) -> np.ndarray:
+    """C_ij = {phi_i, phi_j}(x) = grad(phi_i)^T J0 grad(phi_j)."""
+    return DiracContext(cs, x).C
 
 
-def classify(cs: ConstraintSet, probes, tau_sing=TAU_SING,
-             tau_first=TAU_FIRST, tau_on_N=TAU_ON_N) -> str:
+def classify(cs: ConstraintSet, probes) -> str:
     """Classify the set over a family of probe points on N."""
     probes = list(probes)
     if not probes:
@@ -185,11 +179,10 @@ def classify(cs: ConstraintSet, probes, tau_sing=TAU_SING,
     seen = set()
     for x in probes:
         vals = cs.values(x)
-        if np.max(np.abs(vals)) > tau_on_N:
+        if np.max(np.abs(vals)) > TAU_ON_N:
             raise ValueError("probe is off the constraint set: max |phi| = %g"
                              % np.max(np.abs(vals)))
-        cls, _, _, _, _ = _pointwise_class(cs, x, tau_sing, tau_first)
-        seen.add(cls)
+        seen.add(DiracContext(cs, x).classification)
     if seen == {FIRST_CLASS}:
         return FIRST_CLASS
     if seen == {SECOND_CLASS}:
@@ -213,10 +206,8 @@ def dirac_project(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
     """
     ctx.require_second_class()
     gf = f.gradient(ctx.x)
-    Xf = J_apply(gf)
-    b = bracket_with_constraints(f, ctx)
-    coef = b @ ctx.C_inv
-    return Xf - coef @ ctx.XG
+    coef = (ctx.XG @ gf) @ ctx.C_inv           # {f, phi_i} C^ij
+    return J_apply(gf) - coef @ ctx.XG
 
 
 def dirac_bracket(f: SmoothMap, g: SmoothMap, ctx: DiracContext) -> float:
@@ -257,20 +248,20 @@ def dirac_field_callable(gradient, constraint_jacobian):
     """Fast closed-form twin of dirac_field for integrator inner loops.
 
     gradient(x) is grad(H) and constraint_jacobian(x) the stacked
-    constraint gradients G; the projected field is
+    constraint gradients G; with the constraint fields XG of
+    DiracContext the projected field is
 
-        X_D = J0 (grad H - G^T C^{-1} G J0 grad H),  C = G J0 G^T,
+        X_D = X_H - XG^T C^{-1} G X_H,  X_H = J0 grad H,  C = G XG^T,
 
-    which agrees with dirac_field pointwise at second-class points but
-    skips all SmoothMap plumbing.
+    which agrees with dirac_project pointwise at second-class points but
+    skips all SmoothMap plumbing and classification.
     """
     def _field(x):
-        g = gradient(x)
+        Xf = J_apply(gradient(x))
         G = constraint_jacobian(x)
-        J0 = canonical_J(g.size // 2)
-        Jg = J0 @ g
-        y = scipy.linalg.solve(G @ J0 @ G.T, G @ Jg)
-        return Jg - J0 @ (G.T @ y)
+        XG = _constraint_fields(G)
+        y = np.linalg.solve(G @ XG.T, G @ Xf)
+        return Xf - y @ XG
 
     return _field
 
@@ -415,27 +406,19 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
     """Detection-only report at x: Jacobian rank, sigma_min of C, flags.
 
     Flags: ``not_regular_level`` when the constraint Jacobian drops
-    rank, ``not_second_class`` when C fails the invertibility threshold.
+    rank, ``not_second_class`` when the set is not second-class at x.
     """
-    x = np.asarray(x, dtype=float)
-    G = cs.jacobian(x)
-    sv_G = scipy.linalg.svdvals(G)
-    smax_G = sv_G[0] if sv_G.size else 0.0
-    rank = int(np.sum(sv_G > TAU_RANK * max(1.0, smax_G)))
-    C = constraint_matrix(cs, x)
-    sv_C = scipy.linalg.svdvals(C)
-    smax_C = sv_C[0] if sv_C.size else 0.0
-    smin_C = sv_C[-1] if sv_C.size else 0.0
+    ctx = DiracContext(cs, x)
     flags = []
-    if rank < cs.k:
+    if ctx.rank_dphi < cs.k:
         flags.append("not_regular_level")
-    if rank < cs.k or smin_C <= TAU_SING * max(1.0, smax_C):
+    if ctx.classification != SECOND_CLASS:
         flags.append("not_second_class")
     return {
-        "point": [float(v) for v in x],
-        "rank_dphi": rank,
-        "sigma_min_C": float(smin_C),
-        "cond_C": float(smax_C / smin_C) if smin_C > 0 else float("inf"),
+        "point": [float(v) for v in ctx.x],
+        "rank_dphi": ctx.rank_dphi,
+        "sigma_min_C": float(ctx.sigma_min),
+        "cond_C": float(ctx.cond),
         "flags": flags,
     }
 
@@ -445,31 +428,39 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
 # ----------------------------------------------------------------------
 
 
-def project_to_constraints(cs: ConstraintSet, x, tol=1e-12, max_iter=50):
+def project_to_constraints(cs, x):
     """Newton projection onto {phi = 0} along the constraint gradients:
-    solve phi(x + G^T lam) = 0 via (G G^T) lam = -phi."""
+    solve phi(x + G^T lam) = 0 via (G G^T) lam = -phi.
+
+    ``cs`` needs only ``values(x)`` and ``jacobian(x)``.  Raises
+    RuntimeError when the Gram matrix G G^T is singular or the residual
+    does not drop below NEWTON_TOL within NEWTON_MAX_ITER steps.
+    """
     x = np.array(x, dtype=float)
-    for _ in range(max_iter):
-        r = cs.values(x)
-        if np.max(np.abs(r)) < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        r = np.asarray(cs.values(x), dtype=float)
+        if np.max(np.abs(r)) < NEWTON_TOL:
             return x
-        G = cs.jacobian(x)
-        lam = scipy.linalg.solve(G @ G.T, -r, assume_a="pos")
+        G = np.asarray(cs.jacobian(x), dtype=float)
+        try:
+            lam = scipy.linalg.solve(G @ G.T, -r, assume_a="pos")
+        except scipy.linalg.LinAlgError as err:
+            raise RuntimeError("constraint projection failed: singular "
+                               "gradient Gram matrix") from err
         x = x + G.T @ lam
-    r = cs.values(x)
-    if np.max(np.abs(r)) < tol:
+    r = np.asarray(cs.values(x), dtype=float)
+    if np.max(np.abs(r)) < NEWTON_TOL:
         return x
     raise RuntimeError("constraint projection did not converge "
                        "(residual %g)" % np.max(np.abs(r)))
 
 
-def sample_probes(cs: ConstraintSet, x0, n_probes, radius, seed,
-                  tol=1e-12):
+def sample_probes(cs: ConstraintSet, x0, n_probes, radius, seed):
     """Seeded Gaussian perturbations of x0 projected back onto N."""
     rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=float)
     out = []
     for _ in range(n_probes):
         y = x0 + radius * rng.standard_normal(x0.size)
-        out.append(project_to_constraints(cs, y, tol=tol))
+        out.append(project_to_constraints(cs, y))
     return out

@@ -5,9 +5,12 @@ near-integrability check.
 Integrators are deliberately fixed-step (rk4, projected rk4, implicit
 midpoint): the acceptance numbers must be reproducible, and the working
 horizons are desk scale.  Fields and monitors may be SmoothMaps or plain
-callables; the constrained integrator only needs ``values`` and
-``jacobian`` from its constraint argument, so a fast closed-form stand-in
-for a ConstraintSet works too.
+callables; the constrained integrator only needs ``values``,
+``jacobian`` and ``k`` from its constraint argument, so a fast
+closed-form stand-in for a ConstraintSet (``models.CallableConstraints``)
+works too.  The start point is checked with a ``dirac.DiracContext``,
+and the post-step Newton projection ``project_onto_constraints`` is
+``dirac.project_to_constraints`` under the name this module looks up.
 """
 
 from __future__ import annotations
@@ -15,13 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dirac import DiracContext, dirac_bracket
-from .smooth import SmoothMap, canonical_J, canonical_bracket_value
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 10
+from .dirac import project_to_constraints as project_onto_constraints
+from .smooth import SmoothMap, canonical_bracket_value
 
 
 def _as_callable(f):
@@ -73,31 +73,6 @@ def _rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def project_onto_constraints(constraints, x, tol=NEWTON_TOL,
-                             max_iter=NEWTON_MAX_ITER):
-    """Newton steps along constraint gradients back onto {phi = 0}.
-
-    Solves phi(x + G^T lam) = 0 through the Gram system (G G^T) lam =
-    -phi; raises RuntimeError when the residual will not drop below tol.
-    """
-    for _ in range(max_iter):
-        r = np.asarray(constraints.values(x), dtype=float)
-        if np.max(np.abs(r)) < tol:
-            return x
-        G = np.asarray(constraints.jacobian(x), dtype=float)
-        try:
-            lam = scipy.linalg.solve(G @ G.T, -r, assume_a="sym")
-        except scipy.linalg.LinAlgError as err:
-            raise RuntimeError("constraint projection failed: singular "
-                               "gradient Gram matrix") from err
-        x = x + G.T @ lam
-    r = np.asarray(constraints.values(x), dtype=float)
-    if np.max(np.abs(r)) < tol:
-        return x
-    raise RuntimeError("constraint projection did not converge "
-                       "(residual %g)" % np.max(np.abs(r)))
-
-
 def _implicit_midpoint_step(f, x, dt, tol=1e-14, max_iter=100):
     y = x + dt * f(x)
     for _ in range(max_iter):
@@ -106,18 +81,6 @@ def _implicit_midpoint_step(f, x, dt, tol=1e-14, max_iter=100):
             return y_new
         y = y_new
     raise RuntimeError("implicit midpoint fixed point did not converge")
-
-
-def _require_second_class(constraints, x0):
-    G = np.asarray(constraints.jacobian(x0), dtype=float)
-    if G.shape[1] % 2:
-        raise ValueError("phase dimension must be even")
-    C = G @ canonical_J(G.shape[1] // 2) @ G.T
-    sv = scipy.linalg.svdvals(C)
-    if sv.size == 0 or sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        raise ValueError("projected integration needs a second-class "
-                         "constraint set at x0 (sigma_min of C = %g)"
-                         % (sv[-1] if sv.size else 0.0))
 
 
 def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
@@ -137,7 +100,9 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
     if method == "projected_rk4":
         if constraints is None:
             raise ValueError("projected_rk4 needs a constraint set")
-        _require_second_class(constraints, x)
+        if x.size % 2:
+            raise ValueError("phase dimension must be even")
+        DiracContext(constraints, x).require_second_class()
     elif method not in ("rk4", "implicit_midpoint"):
         raise ValueError("unknown method %r" % method)
     monitors = {nm: _as_callable(g) for nm, g in (monitors or {}).items()}

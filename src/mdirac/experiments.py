@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -41,7 +40,7 @@ from .dirac import (
     sample_probes,
     singularity_diagnostics,
 )
-from .symmetry import NotLocallyFreeError, stationarity_test
+from .symmetry import NotLocallyFreeError
 from .birkhoff import run_normal_form_report
 from .models import (
     AZ,
@@ -53,11 +52,11 @@ from .models import (
     dsp_full_callables,
     dsp_gradient,
     dsp_hamiltonian,
-    dsp_locked_inertia,
     dsp_pipeline,
     dsp_slice,
     dsp_spheres,
     dsp_sphere_callables,
+    dsp_stationarity,
     ks_model,
     moser_filter_integrals,
     neumann_model,
@@ -286,15 +285,6 @@ def _equilibrium_summary(re) -> dict:
         "x0": re.x0,
         "kkt_residual": re.residual,
     }
-
-
-def _dsp_stationarity(p: DspParams, x0) -> dict:
-    """Locked-inertia stationarity along the configuration tangent."""
-    Gq = np.zeros((2, 6))
-    Gq[0, :3] = x0[:3]
-    Gq[1, 3:] = x0[3:6]
-    _, _, Vt = scipy.linalg.svd(Gq)
-    return stationarity_test(dsp_locked_inertia(p), x0[:6], list(Vt[2:]))
 
 
 def _dsp_field_agreement(p, re, slc, n_probes, radius, tilt, seed):
@@ -540,7 +530,7 @@ def _run_dsp_static_negative(cfg: ExperimentConfig):
     except NotLocallyFreeError as err:
         refused, msg = True, str(err)
     checks.flag("slice_refused_fixed_point", refused, detail=msg)
-    st = _dsp_stationarity(p, re.x0)
+    st = dsp_stationarity(p, re.x0)
     checks.bound("stationarity", st["max_directional_derivative"], 1e-8)
     try:
         dsp_equilibria(p, 1, omega=0.3)

@@ -31,7 +31,7 @@ from .poly import (
     TruncatedPoly,
     compose_batch,
 )
-from .smooth import SmoothMap, canonical_J, canonical_bracket_value
+from .smooth import SmoothMap, canonical_bracket_value
 from .symmetry import (
     GroupAction,
     LockedInertia,
@@ -174,6 +174,16 @@ def dsp_hamiltonian(p: DspParams, max_degree: int = DEFAULT_MAX_DEGREE):
 
 def dsp_locked_inertia(p: DspParams) -> LockedInertia:
     return LockedInertia(lambda q: p.mass_matrix, dsp_action())
+
+
+def dsp_stationarity(p: DspParams, x0) -> dict:
+    """Locked-inertia stationarity at the configuration of x0, along the
+    tangent space of S^2 x S^2 there."""
+    Gq = np.zeros((2, 6))
+    Gq[0, :3] = x0[:3]
+    Gq[1, 3:] = x0[3:6]
+    _, _, Vt = scipy.linalg.svd(Gq)
+    return stationarity_test(dsp_locked_inertia(p), x0[:6], list(Vt[2:]))
 
 
 def dsp_case_configuration(p: DspParams, case_id: int):
@@ -376,8 +386,9 @@ def dsp_slice(p: DspParams, re: RelativeEquilibrium,
 
 
 class CallableConstraints:
-    """Closed-form stand-in for a ConstraintSet in integrator loops: just
-    the two methods the projection and the field evaluator need."""
+    """Closed-form stand-in for a ConstraintSet in integrator loops: the
+    values and Jacobian the Newton projection and the field evaluator
+    need, and the count k a DiracContext needs."""
 
     def __init__(self, values, jacobian, k):
         self.values = values
@@ -452,17 +463,6 @@ def dsp_gradient(p: DspParams, Omega: float = 0.0):
     return grad
 
 
-def dsp_ambient_field(p: DspParams, Omega: float = 0.0):
-    """Closed-form Hamiltonian field of H - Omega J on R^12."""
-    grad = dsp_gradient(p, Omega)
-    J0 = canonical_J(6)
-
-    def field(x):
-        return J0 @ grad(x)
-
-    return field
-
-
 def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
                  chart_degree: int = 5, n_probes: int = 20,
                  drift_radius: float = 5e-5, twin_radius: float = 1e-5,
@@ -498,14 +498,7 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
         out["halted"] = "drift-free check failed"
         return out
 
-    # locked-inertia stationarity along the configuration tangent
-    q0 = x0[:6]
-    Gq = np.zeros((2, 6))
-    Gq[0, :3] = x0[:3]
-    Gq[1, 3:] = x0[3:6]
-    _, _, Vt = scipy.linalg.svd(Gq)
-    out["stationarity"] = stationarity_test(
-        dsp_locked_inertia(p), q0, list(Vt[2:]))
+    out["stationarity"] = dsp_stationarity(p, x0)
 
     # chart, flattening, and the two normalization paths
     if normal_form:

@@ -173,6 +173,21 @@ class SliceModel:
         return dirac_bracket(f, g, DiracContext(self.base, x))
 
 
+def _locally_free_generators(action, x0) -> np.ndarray:
+    """Generator fields at x0 as rows; raises NotLocallyFreeError when
+    their Gram matrix is singular (x0 is a fixed point of the action or
+    the generators are dependent there)."""
+    gens = np.vstack([action.generator_field(i, x0)
+                      for i in range(action.group_dim)])
+    sv = scipy.linalg.svdvals(gens @ gens.T)
+    if sv.size == 0 or sv[-1] <= TAU_SING * max(1.0, sv[0]):
+        raise NotLocallyFreeError(
+            "action is not locally free at x0 (generator Gram sigma_min "
+            "= %g): no slice exists at a fixed point"
+            % (sv[-1] if sv.size else 0.0))
+    return gens
+
+
 def build_slice(base_constraints, momentum: MomentumData, x0,
                 max_degree=DEFAULT_MAX_DEGREE, w_override=None) -> SliceModel:
     """Construct the slice model at x0.
@@ -188,19 +203,11 @@ def build_slice(base_constraints, momentum: MomentumData, x0,
     if np.max(np.abs(vals)) > TAU_ON_N:
         raise ValueError("x0 violates the constraints (max residual %g)"
                          % np.max(np.abs(vals)))
-    gens = np.vstack([momentum.action.generator_field(i, x0)
-                      for i in range(momentum.action.group_dim)])
+    gens = _locally_free_generators(momentum.action, x0)
     if w_override is not None:
         W = np.asarray(w_override, dtype=float)
     else:
         W = gens
-    gram = gens @ gens.T
-    sv = scipy.linalg.svdvals(gram)
-    if sv.size == 0 or sv[-1] <= TAU_SING * max(1.0, sv[0]):
-        raise NotLocallyFreeError(
-            "action is not locally free at x0 (generator Gram sigma_min "
-            "= %g): slice construction fails at fixed points" % (sv[-1] if
-                                                                 sv.size else 0.0))
     n = x0.size
     ups_polys = []
     for w in W:
@@ -255,15 +262,7 @@ def adapted_slice_directions(S_aug, base_constraints, action, x0,
     n = x0.size
     J = canonical_J(n // 2)
     S_aug = np.asarray(S_aug, dtype=float)
-    gens = np.vstack([action.generator_field(i, x0)
-                      for i in range(action.group_dim)])
-    gram = gens @ gens.T
-    sv = scipy.linalg.svdvals(gram)
-    if sv.size == 0 or sv[-1] <= TAU_SING * max(1.0, sv[0]):
-        raise NotLocallyFreeError(
-            "action is not locally free at x0 (generator Gram sigma_min "
-            "= %g): no slice directions exist" % (sv[-1] if sv.size
-                                                  else 0.0))
+    gens = _locally_free_generators(action, x0)
     if base_constraints is not None:
         G = base_constraints.jacobian(x0)
         _, svG, Vt = scipy.linalg.svd(G, full_matrices=True)

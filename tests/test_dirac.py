@@ -20,6 +20,7 @@ from mdirac.dirac import (
     constraint_matrix,
     dirac_bracket,
     dirac_field,
+    dirac_field_callable,
     dirac_project,
     dirac_structure_series,
     moser_multipliers,
@@ -28,7 +29,18 @@ from mdirac.dirac import (
     sample_probes,
     singularity_diagnostics,
 )
+from mdirac.models import (
+    DspParams,
+    dsp_action,
+    dsp_equilibria,
+    dsp_full_callables,
+    dsp_gradient,
+    dsp_hamiltonian,
+    dsp_slice,
+    neumann_model,
+)
 from mdirac.poly import (
+    DEFAULT_MAX_DEGREE,
     CanonicalStructure,
     TruncatedPoly,
     coeff_distance,
@@ -84,6 +96,26 @@ def test_single_constraint_matrix_is_zero():
     cs = ConstraintSet.from_polys([phi])
     C = constraint_matrix(cs, np.ones(n))
     np.testing.assert_allclose(C, [[0.0]])
+
+
+class CountingConstraints:
+    """The jacobian(x) and k of a constraint set, counting Jacobian calls."""
+
+    def __init__(self, cs):
+        self.cs = cs
+        self.k = cs.k
+        self.jacobian_calls = 0
+
+    def jacobian(self, x):
+        self.jacobian_calls += 1
+        return self.cs.jacobian(x)
+
+
+def test_context_evaluates_jacobian_once():
+    stub = CountingConstraints(sphere_pair())
+    ctx = DiracContext(stub, np.array([0.0, 0.0, 1.0, 0.3, -0.2, 0.0]))
+    assert ctx.classification == "SecondClass"
+    assert stub.jacobian_calls == 1
 
 
 def test_classify_sphere_pair_second_class():
@@ -415,6 +447,13 @@ def test_project_to_constraints():
     assert np.max(np.abs(cs.values(x))) < 1e-12
 
 
+def test_project_to_constraints_singular_gram_raises():
+    # both Neumann constraint gradients vanish at the origin
+    cs = neumann_model(np.eye(3)).constraints
+    with pytest.raises(RuntimeError, match="singular"):
+        project_to_constraints(cs, np.zeros(6))
+
+
 def test_sample_probes_deterministic():
     cs = sphere_pair()
     x0 = np.array([0.0, 0.0, 1.0, 0.3, 0.0, 0.0])
@@ -436,3 +475,19 @@ def test_dirac_field_smoothmap():
     q, p = x[:3], x[3:]
     want = np.concatenate([p, -A @ q + (q @ A @ q - p @ p) * q])
     np.testing.assert_allclose(X.value(x), want, atol=1e-11)
+
+
+def test_field_callable_matches_dirac_project_on_slice_set():
+    # the closed-form field on the 6-constraint case-2 slice set is the
+    # pointwise Dirac projection of H_Omega
+    p = DspParams()
+    re = dsp_equilibria(p, 2, omega=1.0)
+    slc = dsp_slice(p, re)
+    _, H_poly = dsp_hamiltonian(p)
+    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    H_om = SmoothMap.from_poly(H_poly - re.Omega * J_poly)
+    X = dirac_field_callable(dsp_gradient(p, re.Omega),
+                             dsp_full_callables(slc).jacobian)
+    for z in sample_probes(slc.full_constraints, re.x0, 8, 1e-2, 61):
+        want = dirac_project(H_om, DiracContext(slc.full_constraints, z))
+        np.testing.assert_allclose(X(z), want, rtol=0, atol=1e-12)
