@@ -34,6 +34,10 @@ from .dirac import (
     ConstraintSet,
     DiracContext,
     dirac_project,
+    poly_antisymmetric,
+    poly_congruence,
+    poly_constraint_matrix,
+    poly_gradient_fields,
     poly_mat_neumann_inverse,
 )
 from .poly import (
@@ -254,18 +258,24 @@ def _pullback_form_of(psi, K: int) -> np.ndarray:
     return W
 
 
-def chart_symplectic_defect(chart: ChartSeries, through_degree: int) -> float:
-    """Largest coefficient of W - J0 in degrees 0..through_degree."""
-    W = pullback_form(chart)
-    r = chart.n_chart
+def _form_defect(W, through_degree: int) -> float:
+    """Largest coefficient of W - J0 in degrees 0..through_degree, for an
+    antisymmetric form matrix W (its upper triangle is scanned)."""
+    r = W.shape[0]
     Jd = canonical_J(r // 2)
     worst = 0.0
     for al in range(r):
-        for be in range(r):
+        for be in range(al + 1, r):
             diff = W[al, be] - float(Jd[al, be])
-            for k in range(through_degree + 1):
-                worst = max(worst, diff.homogeneous_part(k).max_abs_coeff())
+            for e, c in diff.terms.items():
+                if sum(e) <= through_degree:
+                    worst = max(worst, abs(c))
     return worst
+
+
+def chart_symplectic_defect(chart: ChartSeries, through_degree: int) -> float:
+    """Largest coefficient of W - J0 in degrees 0..through_degree."""
+    return _form_defect(pullback_form(chart), through_degree)
 
 
 def darboux_flatten(chart: ChartSeries, tol: float = 1e-12) -> ChartSeries:
@@ -322,6 +332,17 @@ def darboux_flatten(chart: ChartSeries, tol: float = 1e-12) -> ChartSeries:
 # ----------------------------------------------------------------------
 
 
+def _transport(pi, chi, Dinv, K: int) -> StructuredStructure:
+    """Pi'(w) = Dinv(w) Pi(chi(w)) Dinv(w)^T, with Dinv the inverse
+    Jacobian of the change of variables u = chi(w); only the upper
+    triangle of Pi is composed."""
+    r = pi.shape[0]
+    upper = compose_batch([pi[a, c].truncated(K) for a in range(r)
+                           for c in range(a + 1, r)], chi)
+    pic = poly_antisymmetric(r, upper, TruncatedPoly.zero(r, K))
+    return StructuredStructure(poly_congruence(Dinv, pic))
+
+
 def transport_structure(ps: StructuredStructure,
                         transition) -> StructuredStructure:
     """Poisson-structure matrix in new coordinates u = chi(w).
@@ -348,34 +369,7 @@ def transport_structure(ps: StructuredStructure,
     for i in range(r):
         for j in range(r):
             D[i, j] = chi[i].derivative(j)
-    N = poly_mat_neumann_inverse(D, K)
-    flat, owner = [], []
-    for a in range(r):
-        for c in range(a + 1, r):
-            flat.append(pi[a, c].truncated(K))
-            owner.append((a, c))
-    composed = compose_batch(flat, chi)
-    zero = TruncatedPoly.zero(r, K)
-    pic = np.full((r, r), zero, dtype=object)
-    for val, (a, c) in zip(composed, owner):
-        pic[a, c] = val
-        pic[c, a] = -val
-    M = np.empty((r, r), dtype=object)
-    for a in range(r):
-        for c in range(r):
-            acc = zero
-            for i in range(r):
-                for j in range(r):
-                    acc = acc + N[a, i] * pic[i, j] * N[c, j]
-            M[a, c] = acc
-    out = np.empty((r, r), dtype=object)
-    for a in range(r):
-        out[a, a] = zero
-        for c in range(a + 1, r):
-            anti = 0.5 * (M[a, c] - M[c, a])
-            out[a, c] = anti
-            out[c, a] = -anti
-    return StructuredStructure(out)
+    return _transport(pi, chi, poly_mat_neumann_inverse(D, K), K)
 
 
 def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
@@ -386,10 +380,13 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
     For a raw chart the nonlinear corrections stay in the constraint-
     gradient complement, so the chart inverse is the linear dual map
     ell_a(x) = d_a . (x - x0) and the coordinate bracket is the Dirac
-    bracket of the ell_a composed with the chart.  A flattened chart is
-    handled by building the structure on its raw parent and transporting
-    through the recorded transition map.  The constant part of the
-    result is exactly the canonical matrix.
+    bracket of the ell_a composed with the chart:
+
+        pi = duals J0 duals^T + b C^-1 b^T,  b_ai = {ell_a, phi_i} o psi.
+
+    A flattened chart is handled by building the structure on its raw
+    parent and transporting through the recorded transition map.  The
+    constant part of the result is exactly the canonical matrix.
     """
     cs, x0 = _resolve_level(slice_or_cs, x0 if x0 is not None
                             else chart.frame.x0)
@@ -399,7 +396,6 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
         return transport_structure(base, chart.transition)
     V = chart.frame.basis
     n, r = V.shape
-    m = n // 2
     duals = np.linalg.solve(V.T @ V, V.T)
     # the linear-inverse property: duals . map(u) must reproduce u
     psi = [p.truncated(K) for p in chart.map]
@@ -413,55 +409,28 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
                 "chart corrections leave the constraint-gradient "
                 "complement; pass the unflattened chart")
     amb_deg = max(K, max(p.degree() for p in cs.polys))
-    phis = cs.centered_polys(x0, max_degree=amb_deg)
-    grads = [[p.derivative(a) for a in range(n)] for p in phis]
-    Xrows = []
-    for i in range(cs.k):
-        Xrows.append([grads[i][m + a] for a in range(m)] +
-                     [-grads[i][a] for a in range(m)])
+    X = poly_gradient_fields(cs.centered_polys(x0, max_degree=amb_deg))
     k = cs.k
-    flat, owner = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            acc = TruncatedPoly.zero(n, amb_deg)
-            for a in range(n):
-                acc = acc + grads[i][a] * Xrows[j][a]
-            flat.append(acc)
-            owner.append((i, j))
-    for i in range(k):
-        for a_ch in range(r):
-            acc = TruncatedPoly.zero(n, amb_deg)
-            for c in range(n):
-                if duals[a_ch, c] != 0.0:
-                    acc = acc + duals[a_ch, c] * Xrows[i][c]
-            flat.append(acc)
-            owner.append(("b", a_ch, i))
-    composed = compose_batch(flat, psi)
-    zero_u = TruncatedPoly.zero(r, K)
-    Cu = np.full((k, k), zero_u, dtype=object)
-    b = np.full((r, k), zero_u, dtype=object)
-    for val, tag in zip(composed, owner):
-        if tag[0] == "b":
-            b[tag[1], tag[2]] = val
-        else:
-            i, j = tag
-            Cu[i, j] = val
-            Cu[j, i] = -val
-    Cinv = poly_mat_neumann_inverse(Cu, K)
-    Jamb = canonical_J(m)
-    pi = np.empty((r, r), dtype=object)
+    C = poly_constraint_matrix(X)
+    flat = [C[i, j] for i in range(k) for j in range(i + 1, k)]
+    zero_amb = TruncatedPoly.zero(n, amb_deg)
     for a in range(r):
-        pi[a, a] = zero_u
+        for i in range(k):
+            flat.append(sum((duals[a, c] * X[i, c] for c in range(n)
+                             if duals[a, c] != 0.0), zero_amb))
+    composed = compose_batch(flat, psi)
+    n_upper = k * (k - 1) // 2
+    zero_u = TruncatedPoly.zero(r, K)
+    Cinv = poly_mat_neumann_inverse(
+        poly_antisymmetric(k, composed[:n_upper], zero_u), K)
+    b = np.array(composed[n_upper:], dtype=object).reshape(r, k)
+    pi = poly_congruence(b, Cinv)
+    const = duals @ canonical_J(n // 2) @ duals.T
+    for a in range(r):
         for c in range(a + 1, r):
-            acc = TruncatedPoly.constant(
-                float(duals[a] @ Jamb @ duals[c]), r, K)
-            for i in range(k):
-                for j in range(k):
-                    acc = acc + b[a, i] * Cinv[i, j] * b[c, j]
-            pi[a, c] = acc
-            pi[c, a] = -acc
-    d = r // 2
-    Jd = canonical_J(d)
+            pi[a, c] = pi[a, c] + float(const[a, c])
+            pi[c, a] = -pi[a, c]
+    Jd = canonical_J(r // 2)
     for a in range(r):
         for c in range(r):
             if abs(pi[a, c].coefficient((0,) * r) - Jd[a, c]) > 1e-9:
@@ -579,39 +548,17 @@ def _monomials_of_degree(n_vars: int, k: int):
     return sorted(out)
 
 
-def _real_to_complex(p: TruncatedPoly, d: int) -> dict:
-    """Coefficients of p in the z/zbar monomial basis.
+def _pairwise_basis_change(coeffs, d: int, factor) -> dict:
+    """Re-expand coefficient data pair by pair between the (Q, P) and
+    (z, zbar) monomial bases.
 
-    Variables 0..d-1 of the output exponents are powers of z_j =
-    Q_j + i P_j, variables d..2d-1 powers of the conjugates.
+    For each variable pair the monomial x^a y^b of the source basis is
+    sum_{t<=a, s<=b} factor(a, b, t, s) X^(t+s) Y^(a-t+b-s) in the target
+    basis; the pairs are multiplied out.  Variables 0..d-1 of the
+    exponents are the first members of the pairs, d..2d-1 the second.
     """
     out: dict = {}
-    for exp, coef in p.terms.items():
-        options = []
-        for j in range(d):
-            al, be = exp[j], exp[d + j]
-            opt = {}
-            for t in range(al + 1):
-                for s in range(be + 1):
-                    key = (t + s, al - t + be - s)
-                    val = (math.comb(al, t) * math.comb(be, s)
-                           * (-1) ** (be - s) / 2 ** al
-                           / (2j) ** be)
-                    opt[key] = opt.get(key, 0.0) + val
-            options.append(list(opt.items()))
-        for combo in itertools.product(*options):
-            key = (tuple(zp for (zp, _), _ in combo)
-                   + tuple(zb for (_, zb), _ in combo))
-            val = coef
-            for (_, _), v in combo:
-                val *= v
-            out[key] = out.get(key, 0.0) + val
-    return {k: v for k, v in out.items() if abs(v) > 1e-15}
-
-
-def _complex_to_real(cd: dict, d: int, max_degree: int) -> TruncatedPoly:
-    acc: dict = {}
-    for exp, coef in cd.items():
+    for exp, coef in coeffs.items():
         options = []
         for j in range(d):
             a, b = exp[j], exp[d + j]
@@ -619,17 +566,37 @@ def _complex_to_real(cd: dict, d: int, max_degree: int) -> TruncatedPoly:
             for t in range(a + 1):
                 for s in range(b + 1):
                     key = (t + s, a - t + b - s)
-                    val = (math.comb(a, t) * math.comb(b, s)
-                           * (1j) ** (a - t) * (-1j) ** (b - s))
-                    opt[key] = opt.get(key, 0.0) + val
+                    opt[key] = opt.get(key, 0.0) + factor(a, b, t, s)
             options.append(list(opt.items()))
         for combo in itertools.product(*options):
-            key = (tuple(qp for (qp, _), _ in combo)
-                   + tuple(pp for (_, pp), _ in combo))
+            key = (tuple(x for (x, _), _ in combo)
+                   + tuple(y for (_, y), _ in combo))
             val = coef
-            for (_, _), v in combo:
+            for _, v in combo:
                 val *= v
-            acc[key] = acc.get(key, 0.0) + val
+            out[key] = out.get(key, 0.0) + val
+    return out
+
+
+def _real_to_complex(p: TruncatedPoly, d: int) -> dict:
+    """Coefficients of p in the z/zbar monomial basis.
+
+    Variables 0..d-1 of the output exponents are powers of z_j =
+    Q_j + i P_j, variables d..2d-1 powers of the conjugates.
+    """
+    # Q = (z + zbar)/2, P = (z - zbar)/(2i)
+    out = _pairwise_basis_change(
+        p.terms, d, lambda a, b, t, s: (math.comb(a, t) * math.comb(b, s)
+                                        * (-1) ** (b - s) / 2 ** a
+                                        / (2j) ** b))
+    return {k: v for k, v in out.items() if abs(v) > 1e-15}
+
+
+def _complex_to_real(cd: dict, d: int, max_degree: int) -> TruncatedPoly:
+    # z = Q + iP, zbar = Q - iP
+    acc = _pairwise_basis_change(
+        cd, d, lambda a, b, t, s: (math.comb(a, t) * math.comb(b, s)
+                                   * (1j) ** (a - t) * (-1j) ** (b - s)))
     worst = max((abs(v.imag) for v in acc.values()), default=0.0)
     if worst > 1e-10 * max(1.0, max((abs(v) for v in acc.values()),
                                     default=1.0)):
@@ -756,31 +723,6 @@ class NormalFormResult:
         }
 
 
-def _transform_structure(ps: StructuredStructure, T: np.ndarray,
-                         K: int) -> StructuredStructure:
-    """Poisson tensor in the linearly transformed coordinates u = T v."""
-    n = T.shape[0]
-    lin = [TruncatedPoly.from_linear(T[a, :], K) for a in range(n)]
-    flat = compose_batch([ps.pi[a, b] for a in range(n) for b in range(n)],
-                         lin)
-    comp = np.array(flat, dtype=object).reshape(n, n)
-    J0 = canonical_J(n // 2)
-    Tinv = -J0 @ T.T @ J0
-    zero = TruncatedPoly.zero(n, K)
-    out = np.full((n, n), zero, dtype=object)
-    for a in range(n):
-        for b in range(a + 1, n):
-            acc = zero
-            for c in range(n):
-                for e in range(n):
-                    w = Tinv[a, c] * Tinv[b, e]
-                    if w != 0.0:
-                        acc = acc + w * comp[c, e]
-            out[a, b] = acc
-            out[b, a] = -acc
-    return StructuredStructure(out)
-
-
 def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
                          K: int = 4, tau_res: float = TAU_RES
                          ) -> NormalFormResult:
@@ -805,9 +747,11 @@ def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
     qd = linear_normalize(quadratic_matrix(H.homogeneous_part(2)))
     T = qd.linear_transform
     lin = [TruncatedPoly.from_linear(T[a, :], K) for a in range(n)]
-    H = H.compose(lin)
+    H = compose_batch([H], lin)[0]
     if isinstance(ps, StructuredStructure):
-        work = _transform_structure(ps, T, K)
+        # u = T v; T is symplectic, so its inverse is -J0 T^T J0
+        J0 = canonical_J(d)
+        work = _transport(ps.pi, lin, -J0 @ T.T @ J0, K)
     else:
         work = CanonicalStructure(d)
     generators, resonant, caught = {}, {}, []
@@ -867,24 +811,9 @@ def transform_symplectic_defect(result: NormalFormResult,
     path produces a Poisson map for the restricted Dirac structure
     rather than a symplectic map, so this check does not apply there.
     """
-    comps = list(result.composed_transform)
-    n = len(comps)
-    m = n // 2
-    K = result.K
-    cap = K - 1 if through_degree is None else through_degree
-    D = [[comps[a].derivative(al) for al in range(n)] for a in range(n)]
-    J0 = canonical_J(m)
-    worst = 0.0
-    for al in range(n):
-        for be in range(al + 1, n):
-            acc = TruncatedPoly.zero(n, K)
-            for a in range(m):
-                acc = acc + D[a][al] * D[m + a][be] \
-                    - D[m + a][al] * D[a][be]
-            acc = acc - float(J0[al, be])
-            for k in range(cap + 1):
-                worst = max(worst, acc.homogeneous_part(k).max_abs_coeff())
-    return worst
+    cap = result.K - 1 if through_degree is None else through_degree
+    return _form_defect(
+        _pullback_form_of(result.composed_transform, result.K), cap)
 
 
 def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,

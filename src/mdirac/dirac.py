@@ -271,6 +271,15 @@ def dirac_field_callable(gradient, constraint_jacobian):
 # ----------------------------------------------------------------------
 
 
+def _poly_dot(u, v):
+    """sum_s u[s] v[s] over paired entries (TruncatedPoly or real)."""
+    acc = None
+    for x, y in zip(u, v):
+        t = x * y
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def poly_mat_mul(A, B):
     """Product of object-dtype matrices of TruncatedPoly."""
     A = np.asarray(A, dtype=object)
@@ -282,12 +291,34 @@ def poly_mat_mul(A, B):
     out = np.empty((n, r), dtype=object)
     for i in range(n):
         for j in range(r):
-            acc = None
-            for s in range(m):
-                t = A[i, s] * B[s, j]
-                acc = t if acc is None else acc + t
-            out[i, j] = acc
+            out[i, j] = _poly_dot(A[i], B[:, j])
     return out
+
+
+def poly_antisymmetric(n, upper, zero):
+    """n x n antisymmetric object matrix from its strict upper triangle,
+    given row by row; the diagonal is ``zero``."""
+    out = np.full((n, n), zero, dtype=object)
+    upper = iter(upper)
+    for a in range(n):
+        for c in range(a + 1, n):
+            out[a, c] = next(upper)
+            out[c, a] = -out[a, c]
+    return out
+
+
+def poly_congruence(A, Pi):
+    """A Pi A^T for an antisymmetric object matrix Pi, exactly
+    antisymmetric: A Pi is formed once, then only the upper triangle of
+    the product with A^T, which is mirrored.  A may hold TruncatedPoly or
+    real entries."""
+    A = np.asarray(A, dtype=object)
+    AP = poly_mat_mul(A, Pi)
+    p = AP.shape[0]
+    zero = AP[0, 0] * 0.0
+    return poly_antisymmetric(
+        p, (_poly_dot(AP[a], A[c]) for a in range(p)
+            for c in range(a + 1, p)), zero)
 
 
 def poly_mat_from_constant(M, n_vars, max_degree):
@@ -352,53 +383,37 @@ def poly_gradient_fields(polys):
     return out
 
 
+def poly_constraint_matrix(X):
+    """C_ij = {phi_i, phi_j} = grad(phi_i) . X_phi_j from the constraint
+    fields X of poly_gradient_fields, using grad(phi_i) = (-X_i[m:],
+    X_i[:m]); built on the upper triangle and mirrored."""
+    k, n = X.shape
+    m = n // 2
+    upper = (_poly_dot(X[i, :m], X[j, m:]) - _poly_dot(X[i, m:], X[j, :m])
+             for i in range(k) for j in range(i + 1, k))
+    return poly_antisymmetric(k, upper, X[0, 0] * 0.0)
+
+
 def dirac_structure_series(cs: ConstraintSet, x0, K: int) -> StructuredStructure:
     """Series Dirac structure around x0 in ambient coordinates u = x - x0:
 
-        Pi_ab(u) = {x_a, x_b} - sum_ij {x_a, phi_i} C^ij(u) {phi_j, x_b},
+        Pi_ab(u) = {x_a, x_b} - sum_ij {x_a, phi_i} C^ij(u) {phi_j, x_b}
+                 = J0 + X^T C^-1(u) X,
 
-    with C^ij(u) the truncated Neumann inverse of the polynomial
-    constraint-bracket matrix.  Requires second-class at x0 and
-    polynomial constraint forms.
+    since {x_a, phi_i} = X_i,a and {phi_j, x_b} = -X_j,b, with C^-1(u) the
+    truncated Neumann inverse of the polynomial constraint-bracket
+    matrix.  Requires second-class at x0 and polynomial constraint forms.
     """
     x0 = np.asarray(x0, dtype=float)
     ctx = DiracContext(cs, x0)
     ctx.require_second_class()
-    cen = cs.centered_polys(x0, max_degree=K)
-    k = cs.k
-    n = cs.dim
-    X = poly_gradient_fields(cen)                 # (k, n) fields
-    grads = np.empty((k, n), dtype=object)
-    for i, p in enumerate(cen):
-        for v in range(n):
-            grads[i, v] = p.derivative(v)
-    # C_ij(u) = grad(phi_i) . X_phi_j
-    Cpoly = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            acc = None
-            for v in range(n):
-                t = grads[i, v] * X[j, v]
-                acc = t if acc is None else acc + t
-            Cpoly[i, j] = acc
-    Cinv = poly_mat_neumann_inverse(Cpoly, K)
-    # Pi = J0 + X^T Cinv X   (since {x_a,phi_i} = X_i,a and
-    #  {phi_j,x_b} = -X_j,b)
-    m = n // 2
-    J0 = np.zeros((n, n))
-    J0[:m, m:] = np.eye(m)
-    J0[m:, :m] = -np.eye(m)
-    corr = poly_mat_mul(X.T, poly_mat_mul(Cinv, X))
-    Pi = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            Pi[a, b] = corr[a, b] + float(J0[a, b])
-    # enforce exact antisymmetry against round-off
-    for a in range(n):
-        for b in range(a, n):
-            half = 0.5 * (Pi[a, b] - Pi[b, a])
-            Pi[a, b] = half
-            Pi[b, a] = -half
+    X = poly_gradient_fields(cs.centered_polys(x0, max_degree=K))
+    Cinv = poly_mat_neumann_inverse(poly_constraint_matrix(X), K)
+    Pi = poly_congruence(X.T, Cinv)
+    m = cs.dim // 2
+    for a in range(m):
+        Pi[a, m + a] = Pi[a, m + a] + 1.0
+        Pi[m + a, a] = Pi[m + a, a] - 1.0
     return StructuredStructure(Pi)
 
 

@@ -170,6 +170,7 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list,
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe")
+    contexts = [DiracContext(full, x) for x in probes]
     per_eps = {}
     worst = 0.0
     for eps in eps_list:
@@ -179,8 +180,7 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list,
         res = {}
         for nm, fn in test_fns.items():
             vals = []
-            for x in probes:
-                ctx = DiracContext(full, x)
+            for x, ctx in zip(probes, contexts):
                 d = dirac_bracket(H, fn, ctx)
                 m = m_bracket(H, fn, x)
                 vals.append(abs(d - m))

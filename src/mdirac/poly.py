@@ -296,38 +296,12 @@ class TruncatedPoly:
     # ------------------------------------------------------------------
 
     def compose(self, args: list["TruncatedPoly"]) -> "TruncatedPoly":
-        """Substitute args[i] for variable i.
+        """Substitute args[i] for variable i (see :func:`compose_batch`).
 
         All substituted polynomials must share a common variable count
-        and truncation order; the result lives in that algebra.  Powers
-        of the arguments are cached, so repeated composition against the
-        same low-degree map stays cheap.
+        and truncation order; the result lives in that algebra.
         """
-        if len(args) != self.n_vars:
-            raise ValueError("need one substitution per variable")
-        n_out = args[0].n_vars
-        cap = min(a.max_degree for a in args)
-        for a in args:
-            if a.n_vars != n_out:
-                raise ValueError("substitutions disagree on variable count")
-        cap = min(cap, self.max_degree)
-        one = TruncatedPoly.constant(1.0, n_out, cap)
-        pow_cache: list[list[TruncatedPoly]] = [[one] for _ in args]
-        def arg_pow(i, k):
-            cache = pow_cache[i]
-            while len(cache) <= k:
-                cache.append(cache[-1] * args[i])
-            return cache[k]
-        out = TruncatedPoly.zero(n_out, cap)
-        for exp, c in self.terms.items():
-            term = TruncatedPoly.constant(c, n_out, cap)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * arg_pow(i, e)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        return compose_batch([self], args)[0]
 
     def shifted(self, x0) -> "TruncatedPoly":
         """The polynomial u -> p(x0 + u) (recentering at x0)."""
@@ -486,7 +460,7 @@ def poisson_bracket(f: TruncatedPoly, g: TruncatedPoly,
 def compose_batch(polys, args):
     """Compose several polynomials against the same substitution list.
 
-    Equivalent to [p.compose(args) for p in polys] but the monomial
+    Substitutes args[i] for variable i in every input.  The monomial
     products of the arguments are memoized across all inputs, which is
     the dominant cost when the substituted maps are high degree.
     """
@@ -500,6 +474,9 @@ def compose_batch(polys, args):
     if len(args) != n_in:
         raise ValueError("need one substitution per variable")
     n_out = args[0].n_vars
+    for a in args:
+        if a.n_vars != n_out:
+            raise ValueError("substitutions disagree on variable count")
     cap = min(a.max_degree for a in args)
     cap = min(cap, max(p.max_degree for p in polys))
     one = TruncatedPoly.constant(1.0, n_out, cap)

@@ -24,6 +24,7 @@ from mdirac.dirac import (
     dirac_project,
     dirac_structure_series,
     moser_multipliers,
+    poly_congruence,
     poly_mat_neumann_inverse,
     project_to_constraints,
     sample_probes,
@@ -389,6 +390,44 @@ def test_neumann_inverse_polynomial_identity():
             want = 1.0 if i == j else 0.0
             diff = prod[i, j] - want
             assert diff.max_abs_coeff() < 1e-10
+
+
+def test_poly_congruence_matches_explicit_sum():
+    rng = np.random.default_rng(42)
+
+    def rand(degree):
+        terms = {e: rng.standard_normal()
+                 for e in np.ndindex(3, 3, 3)
+                 if sum(e) <= degree and rng.random() < 0.5}
+        return TruncatedPoly(3, 6, terms)
+
+    A = np.array([[rand(2) for _ in range(4)] for _ in range(3)],
+                 dtype=object)
+    Pi = np.empty((4, 4), dtype=object)
+    for i in range(4):
+        Pi[i, i] = TruncatedPoly.zero(3, 6)
+        for j in range(i + 1, 4):
+            Pi[i, j] = rand(2)
+            Pi[j, i] = -Pi[i, j]
+    out = poly_congruence(A, Pi)
+    assert out.shape == (3, 3)
+    for a in range(3):
+        for c in range(3):
+            want = TruncatedPoly.zero(3, 6)
+            for i in range(4):
+                for j in range(4):
+                    want = want + A[a, i] * Pi[i, j] * A[c, j]
+            assert coeff_distance(out[a, c], want) < 1e-12
+            assert out[a, c].terms == {e: -v for e, v
+                                       in out[c, a].terms.items()}
+    # a real matrix acts as the matrix of its constant polynomials
+    T = rng.standard_normal((2, 4))
+    const = np.array([[TruncatedPoly.constant(v, 3, 6) for v in row]
+                      for row in T], dtype=object)
+    got, want = poly_congruence(T, Pi), poly_congruence(const, Pi)
+    for a in range(2):
+        for c in range(2):
+            assert coeff_distance(got[a, c], want[a, c]) < 1e-12
 
 
 def test_structure_series_matches_pointwise_bracket():

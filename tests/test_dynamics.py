@@ -268,3 +268,23 @@ def test_relatedness_constant_test_function():
     rep = relatedness_check(lambda e: model.H_poly, model.constraints,
                             {"c": one}, probes, [0.0])
     assert rep["max_residual"] == 0.0
+
+
+def test_relatedness_builds_one_context_per_probe(monkeypatch):
+    import mdirac.dynamics as dyn
+
+    built = []
+
+    class CountingContext(dyn.DiracContext):
+        def __init__(self, cs, x):
+            built.append(1)
+            super().__init__(cs, x)
+
+    monkeypatch.setattr(dyn, "DiracContext", CountingContext)
+    model, probes, fns = separable_setup()
+    eps_list = [0.0, 1e-3, 1e-2]
+    rep = relatedness_check(lambda e: model.H_poly, model.constraints,
+                            fns, probes, eps_list)
+    assert rep["passed"]
+    assert len(built) == len(probes)
+    assert len(fns) * len(eps_list) > 1
