@@ -39,6 +39,7 @@ from .dirac import (
     poly_constraint_matrix,
     poly_gradient_fields,
     poly_mat_neumann_inverse,
+    probe_list,
 )
 from .poly import (
     CanonicalStructure,
@@ -48,7 +49,7 @@ from .poly import (
     compose_batch,
     lie_transform,
 )
-from .smooth import SmoothMap, canonical_J
+from .smooth import J_apply, SmoothMap, canonical_J
 
 TAU_RES = 1e-9
 TAU_TWIN = 1e-8
@@ -189,13 +190,12 @@ class ChartSeries:
                            parent=self.parent, transition=trans)
 
 
-def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6,
-                 residual_tol: float = 1e-9) -> ChartSeries:
+def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6) -> ChartSeries:
     """Solve phi(x0 + V u + grad-complement corrections) = 0 per degree.
 
     Corrections are taken in the span of the constraint gradients at x0,
     so each degree reduces to a linear solve against the (invertible)
-    Gram matrix of the gradients.
+    Gram matrix of the gradients.  A residual above 1e-9 raises.
     """
     cs, x0 = _resolve_level(slice_or_cs, frame.x0)
     phis = cs.centered_polys(x0, max_degree=max(
@@ -229,7 +229,7 @@ def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6,
                     xi[a] = xi[a] + G[i, a] * cpoly
     residue = compose_batch(phis, xi)
     worst = max(p.truncated(K).max_abs_coeff() for p in residue)
-    if worst > residual_tol:
+    if worst > 1e-9:
         raise RuntimeError("chart residual %.3e exceeds tolerance" % worst)
     return ChartSeries(frame=frame, map=np.array(xi, dtype=object), K=K)
 
@@ -278,14 +278,14 @@ def chart_symplectic_defect(chart: ChartSeries, through_degree: int) -> float:
     return _form_defect(pullback_form(chart), through_degree)
 
 
-def darboux_flatten(chart: ChartSeries, tol: float = 1e-12) -> ChartSeries:
+def darboux_flatten(chart: ChartSeries) -> ChartSeries:
     """Reparametrize the chart so the pulled-back form is canonical.
 
     Moser-style homotopy, one homogeneous degree at a time: if the
     degree-r defect of W is E_r, the correction vector field has
     potential beta_b = (1/(r+2)) sum_a u_a E_r[a,b] and the chart is
     composed with id - J0 beta.  Degrees 1..K-2 of the defect are
-    removable at truncation order K.
+    removable at truncation order K; defects up to 1e-12 are left.
     """
     r = chart.n_chart
     d = r // 2
@@ -301,7 +301,7 @@ def darboux_flatten(chart: ChartSeries, tol: float = 1e-12) -> ChartSeries:
             for b in range(r):
                 E[a, b] = (W[a, b] - float(Jd[a, b])).homogeneous_part(deg)
                 worst = max(worst, E[a, b].max_abs_coeff())
-        if worst <= tol:
+        if worst <= 1e-12:
             continue
         beta = []
         for b in range(r):
@@ -373,8 +373,8 @@ def transport_structure(ps: StructuredStructure,
 
 
 def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
-                          max_degree: int | None = None,
-                          x0=None) -> StructuredStructure:
+                          max_degree: int | None = None
+                          ) -> StructuredStructure:
     """Dirac bracket of the chart coordinates, as polynomials in u.
 
     For a raw chart the nonlinear corrections stay in the constraint-
@@ -386,13 +386,13 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
 
     A flattened chart is handled by building the structure on its raw
     parent and transporting through the recorded transition map.  The
-    constant part of the result is exactly the canonical matrix.
+    constant part of the result is exactly the canonical matrix.  A raw
+    constraint set is expanded about the chart's ``frame.x0``.
     """
-    cs, x0 = _resolve_level(slice_or_cs, x0 if x0 is not None
-                            else chart.frame.x0)
+    cs, x0 = _resolve_level(slice_or_cs, chart.frame.x0)
     K = chart.K if max_degree is None else max_degree
     if chart.transition is not None:
-        base = dirac_chart_structure(cs, chart.parent, max_degree=K, x0=x0)
+        base = dirac_chart_structure(cs, chart.parent, max_degree=K)
         return transport_structure(base, chart.transition)
     V = chart.frame.basis
     n, r = V.shape
@@ -645,8 +645,9 @@ class HomologicalOperator:
             vals.append(self.eigenvalue(a, b))
         return np.array(vals)
 
-    def kernel_dimension(self, tau_res: float = TAU_RES) -> int:
-        return int(np.sum(np.abs(self.eigenvalues()) < tau_res))
+    def kernel_dimension(self) -> int:
+        """Number of eigenvalues of modulus below TAU_RES."""
+        return int(np.sum(np.abs(self.eigenvalues()) < TAU_RES))
 
 
 def homological_matrix(H2_or_eta, k: int) -> HomologicalOperator:
@@ -658,14 +659,13 @@ def homological_matrix(H2_or_eta, k: int) -> HomologicalOperator:
     return HomologicalOperator(eta, k)
 
 
-def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator,
-                   tau_res: float = TAU_RES):
+def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator):
     """Resonant/nonresonant split and homological solve at one degree.
 
     Returns (H_res, H_nr, Gamma) with L Gamma = H_nr exactly on the
     nonresonant eigenspaces and Gamma having no kernel component.
-    Eigenvalues inside (tau_res, 10 tau_res) trigger a small-divisor
-    warning but are still inverted.
+    Eigenvalues below TAU_RES are resonant; those in (TAU_RES,
+    10 TAU_RES) trigger a small-divisor warning but are still inverted.
     """
     if not Hk.is_zero() and Hk.min_degree() != Hk.degree():
         raise ValueError("input must be homogeneous")
@@ -675,10 +675,10 @@ def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator,
     hazard = None
     for exp, coef in cd.items():
         lam = L.eigenvalue(exp[:d], exp[d:])
-        if abs(lam) < tau_res:
+        if abs(lam) < TAU_RES:
             res[exp] = coef
             continue
-        if abs(lam) < 10.0 * tau_res:
+        if abs(lam) < 10.0 * TAU_RES:
             hazard = abs(lam) if hazard is None else min(hazard, abs(lam))
         nr[exp] = coef
         gam[exp] = coef / lam
@@ -724,15 +724,14 @@ class NormalFormResult:
 
 
 def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
-                         K: int = 4, tau_res: float = TAU_RES
-                         ) -> NormalFormResult:
+                         K: int = 4) -> NormalFormResult:
     """Order-by-order normalization of an equilibrium Hamiltonian.
 
     H must have a critical point at the origin and an elliptic quadratic
     part.  The supplied bracket drives the Lie transforms: canonical for
     a flattened Darboux chart, or the restricted Dirac structure for the
-    on-level path.  Resonant terms stay; every nonresonant term through
-    degree K is removed.
+    on-level path.  Resonant terms (eigenvalue below TAU_RES) stay;
+    every nonresonant term through degree K is removed.
     """
     n = H.n_vars
     d = n // 2
@@ -760,7 +759,7 @@ def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
         L = HomologicalOperator(qd.eta, k)
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always", NearResonanceWarning)
-            Hres, _, Gam = split_resonant(Hk, L, tau_res)
+            Hres, _, Gam = split_resonant(Hk, L)
         for w in wlist:
             caught.append(str(w.message))
             warnings.warn_explicit(w.message, w.category, w.filename,
@@ -817,12 +816,11 @@ def transform_symplectic_defect(result: NormalFormResult,
 
 
 def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,
-                           K: int = 4, tau_res: float = TAU_RES
-                           ) -> NormalFormResult:
-    """Normal form plus conjugation / symplecticity residuals filled in;
-    the symplecticity check runs for every structure but a restricted
-    (StructuredStructure) one."""
-    result = birkhoff_normal_form(H_chart, ps, K=K, tau_res=tau_res)
+                           K: int = 4) -> NormalFormResult:
+    """Normal form (resonance cut TAU_RES) plus conjugation /
+    symplecticity residuals filled in; the symplecticity check runs for
+    every structure but a restricted (StructuredStructure) one."""
+    result = birkhoff_normal_form(H_chart, ps, K=K)
     result.residual_report["conjugation_defect"] = conjugation_defect(
         result, H_chart)
     if not isinstance(ps, StructuredStructure):
@@ -836,43 +834,40 @@ def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,
 # ----------------------------------------------------------------------
 
 
-def intertwining_check(F: SmoothMap, slc, probes,
-                       tau_twin: float = TAU_TWIN,
-                       level_tol: float = 1e-6) -> dict:
+def intertwining_check(F: SmoothMap, slc, probes) -> dict:
     """Compare the slice-projected field of F with its level field.
 
     The reference is the Dirac field of the base constraints alone (the
     field on the momentum level) or the plain Hamiltonian field when the
-    slice has no base.  Probes must sit on the level (base + momentum)
-    but may carry offsets along the gauge constraints, where genuinely
-    drift-free functions still agree and drifting ones separate.
+    slice has no base.  Probes (at least one) must sit on the level
+    (base + momentum, residuals at most 1e-6) but may carry offsets along
+    the gauge constraints, where genuinely drift-free functions still
+    agree and drifting ones separate.  Passes below TAU_TWIN.
     """
     full = slc.full_constraints
     level = slc.level_constraints()
     base = slc.base
     residuals = []
-    for x in probes:
+    for x in probe_list(probes):
         x = np.asarray(x, dtype=float)
-        if level is not None and level.k:
-            lev = np.max(np.abs(level.values(x)))
-            if lev > level_tol:
-                raise ValueError("probe off the level set (residual "
-                                 "%.3e)" % lev)
+        lev = np.max(np.abs(level.values(x)))
+        if lev > 1e-6:
+            raise ValueError("probe off the level set (residual %.3e)"
+                             % lev)
         v_slice = dirac_project(F, DiracContext(full, x))
         if base is not None and base.k:
             v_level = dirac_project(F, DiracContext(base, x))
         else:
             v_level = _ambient_field(F, x)
         residuals.append(float(np.max(np.abs(v_slice - v_level))))
-    worst = max(residuals) if residuals else 0.0
+    worst = max(residuals)
     return {
         "max_residual": worst,
-        "passed": bool(worst < tau_twin),
+        "passed": bool(worst < TAU_TWIN),
         "n_probes": len(residuals),
-        "tau_twin": tau_twin,
+        "tau_twin": TAU_TWIN,
     }
 
 
 def _ambient_field(F: SmoothMap, x) -> np.ndarray:
-    from .smooth import J_apply
     return J_apply(F.gradient(x))

@@ -7,8 +7,11 @@ of their canonical brackets, and the induced Dirac bracket
     {f, g}_D = {f, g} - sum_ij {f, phi_i} C^ij {phi_j, g},
 
 which restricts the dynamics to the constraint manifold when the family
-is second-class (C invertible).  A truncated-series version of the
-bracket around a point feeds the normal-form machinery.
+is second-class (C invertible).  ``dirac_structure_series`` gives a
+truncated-series version of the bracket around a point in ambient
+coordinates; the normal-form pipeline does not use it, but builds its
+chart-variable bracket with ``birkhoff.dirac_chart_structure`` from the
+polynomial matrix helpers below.
 """
 
 from __future__ import annotations
@@ -90,10 +93,12 @@ class ConstraintSet:
             out.append(q)
         return out
 
-    def subset(self, idx, with_polys=True):
+    def subset(self, idx):
+        """The constraints at positions idx, with their polynomial forms
+        when the set has them."""
         maps = [self.constraints[i] for i in idx]
         polys = None
-        if with_polys and self.polys is not None:
+        if self.polys is not None:
             polys = [self.polys[i] for i in idx]
         return ConstraintSet(maps, polys=polys,
                              names=[self.names[i] for i in idx])
@@ -173,11 +178,8 @@ def constraint_matrix(cs: ConstraintSet, x) -> np.ndarray:
 
 def classify(cs: ConstraintSet, probes) -> str:
     """Classify the set over a family of probe points on N."""
-    probes = list(probes)
-    if not probes:
-        raise ValueError("empty probe set")
     seen = set()
-    for x in probes:
+    for x in probe_list(probes):
         vals = cs.values(x)
         if np.max(np.abs(vals)) > TAU_ON_N:
             raise ValueError("probe is off the constraint set: max |phi| = %g"
@@ -188,13 +190,6 @@ def classify(cs: ConstraintSet, probes) -> str:
     if seen == {SECOND_CLASS}:
         return SECOND_CLASS
     return MIXED
-
-
-def bracket_with_constraints(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
-    """Vector of {f, phi_i}(x) over the context's constraints."""
-    gf = f.gradient(ctx.x)
-    # (XG @ gf)_i = (J0 grad phi_i) . grad f = grad(f)^T J0 grad(phi_i)
-    return ctx.XG @ gf
 
 
 def dirac_project(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
@@ -228,7 +223,7 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
     coincides with dirac_project(H, ctx).
     """
     ctx.require_second_class()
-    b = bracket_with_constraints(H, ctx)
+    b = ctx.XG @ H.gradient(ctx.x)             # {H, phi_i}
     return scipy.linalg.solve(ctx.C.T, b)
 
 
@@ -468,6 +463,14 @@ def project_to_constraints(cs, x):
         return x
     raise RuntimeError("constraint projection did not converge "
                        "(residual %g)" % np.max(np.abs(r)))
+
+
+def probe_list(probes) -> list:
+    """The probes as a list, read once; ValueError when there are none."""
+    probes = list(probes)
+    if not probes:
+        raise ValueError("need at least one probe")
+    return probes
 
 
 def sample_probes(cs: ConstraintSet, x0, n_probes, radius, seed):

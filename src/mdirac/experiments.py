@@ -130,8 +130,9 @@ def parse_config(data) -> ExperimentConfig:
 
 
 def _merge_numerics(cfg: ExperimentConfig, defaults: dict) -> dict:
-    """Overlay config numerics on experiment defaults, rejecting
-    unknown keys and non-positive tolerance overrides."""
+    """Overlay config numerics on experiment defaults, rejecting unknown
+    keys, non-positive tolerance overrides, and counts or orders (keys
+    whose default is an int) that are not positive integers."""
     num = dict(defaults)
     num["tolerances"] = dict(defaults.get("tolerances", {}))
     for key, val in cfg.numerics.items():
@@ -150,6 +151,11 @@ def _merge_numerics(cfg: ExperimentConfig, defaults: dict) -> dict:
                 num[key] = [float(v) for v in val]
             elif not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError("numerics key %r must be a number" % key)
+            elif isinstance(defaults[key], int) and (
+                    isinstance(val, float) and not val.is_integer()
+                    or val <= 0):
+                raise ConfigError("numerics key %r must be a positive "
+                                  "integer" % key)
             else:
                 num[key] = type(defaults[key])(val)
         else:
@@ -296,16 +302,14 @@ def _dsp_field_agreement(p, re, slc, n_probes, radius, tilt, seed):
     jac4 = dsp_sphere_callables().jacobian
     probes = sample_probes(slc.full_constraints, re.x0, n_probes, radius,
                            seed)
-    X6 = dirac_field_callable(grad, jac6)
-    X4 = dirac_field_callable(grad, jac4)
-    agree = max(np.max(np.abs(X6(z) - X4(z))) for z in probes)
     w = np.zeros(12)
     w[1] = tilt
-    bad = lambda x: grad(x) + w
-    X6b = dirac_field_callable(bad, jac6)
-    X4b = dirac_field_callable(bad, jac4)
-    neg = max(np.max(np.abs(X6b(z) - X4b(z))) for z in probes)
-    return float(agree), float(neg)
+    gaps = []
+    for g in (grad, lambda x: grad(x) + w):
+        X6 = dirac_field_callable(g, jac6)
+        X4 = dirac_field_callable(g, jac4)
+        gaps.append(float(max(np.max(np.abs(X6(z) - X4(z))) for z in probes)))
+    return tuple(gaps)
 
 
 def _thin(traj: Trajectory, max_rows: int = 2001) -> Trajectory:
@@ -359,8 +363,9 @@ def _axiom_residuals(cs, probes, fs):
 # ----------------------------------------------------------------------
 
 
-def _sphere_pair_constraints(K: int = 6) -> ConstraintSet:
-    n, m = 6, 3
+def _sphere_pair_constraints() -> ConstraintSet:
+    """|q|^2 - 1 and q . p on R^6, truncated at DEFAULT_MAX_DEGREE."""
+    n, m, K = 6, 3, DEFAULT_MAX_DEGREE
     g1 = TruncatedPoly.zero(n, K)
     g2 = TruncatedPoly.zero(n, K)
     for a in range(m):
@@ -457,7 +462,7 @@ def _run_dsp_case(cfg: ExperimentConfig, case_id: int):
                  out["stationarity"]["max_directional_derivative"], 1e-8)
     checks.bound("intertwining", out["intertwining"]["max_residual"], 1e-8)
 
-    agree, neg = _dsp_field_agreement(p, re, dsp_slice(p, re),
+    agree, neg = _dsp_field_agreement(p, re, out["slice"],
                                       num["field_probes"],
                                       num["field_radius"], num["tilt"],
                                       cfg.seed + 2)
@@ -487,33 +492,24 @@ def _run_dsp_case(cfg: ExperimentConfig, case_id: int):
                     detail=out.get("normal_form_error"))
         extra["normal_form_error"] = out.get("normal_form_error")
 
-    if case_id == 3:
-        try:
-            dsp_case_configuration(DspParams(l1=1.3, l2=1.0), 3)
-            rejected = False
-        except ValueError:
-            rejected = True
-        checks.flag("bound_rejects_violation", rejected)
-        try:
-            dsp_case_configuration(DspParams(l1=1.0, l2=1.0), 3)
-            checks.flag("bound_allows_equality", True)
-        except ValueError:
-            checks.flag("bound_allows_equality", False)
-    if case_id == 4:
-        try:
-            dsp_case_configuration(
-                DspParams(m1=0.1, m2=5.0, l1=1.0, l2=2.0), 4)
-            rejected = False
-        except ValueError:
-            rejected = True
-        checks.flag("bound_rejects_violation", rejected)
-        try:
-            dsp_case_configuration(DspParams(m1=1.0, m2=1.0, l1=1.0,
-                                             l2=2.0), 4)
-            checks.flag("bound_allows_equality", True)
-        except ValueError:
-            checks.flag("bound_allows_equality", False)
+    # parameters past the case's bound, and on it
+    bounds = {3: (DspParams(l1=1.3, l2=1.0), DspParams(l1=1.0, l2=1.0)),
+              4: (DspParams(m1=0.1, m2=5.0, l1=1.0, l2=2.0),
+                  DspParams(m1=1.0, m2=1.0, l1=1.0, l2=2.0))}
+    if case_id in bounds:
+        past, on = bounds[case_id]
+        checks.flag("bound_rejects_violation", not _admits(past, case_id))
+        checks.flag("bound_allows_equality", _admits(on, case_id))
     return _report(cfg, checks, extra), artifacts
+
+
+def _admits(p: DspParams, case_id: int) -> bool:
+    """Whether the case's stationary configuration exists at p."""
+    try:
+        dsp_case_configuration(p, case_id)
+    except ValueError:
+        return False
+    return True
 
 
 def _run_dsp_static_negative(cfg: ExperimentConfig):
@@ -783,7 +779,7 @@ def _run_hygiene(cfg: ExperimentConfig):
 
     p = DspParams(m1=1.3, m2=0.7, l1=1.1, l2=0.9, g=3.0)
     Hm, _ = dsp_hamiltonian(p)
-    Jp = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    Jp = dsp_action().momentum_polys()[0]
     suite = {"dsp_H": Hm, "dsp_J": SmoothMap.from_poly(Jp, name="J")}
     for phi in dsp_spheres().constraints:
         suite["dsp_" + phi.name] = phi

@@ -24,7 +24,8 @@ from .birkhoff import (
     intertwining_check,
     run_normal_form_report,
 )
-from .dirac import ConstraintSet, DiracContext, dirac_bracket, sample_probes
+from .dirac import (ConstraintSet, DiracContext, dirac_bracket, probe_list,
+                    sample_probes)
 from .poly import (
     CanonicalStructure,
     DEFAULT_MAX_DEGREE,
@@ -128,8 +129,9 @@ def dsp_action() -> GroupAction:
     return GroupAction([np.kron(np.eye(2), AZ)])
 
 
-def dsp_spheres(max_degree: int = DEFAULT_MAX_DEGREE) -> ConstraintSet:
-    """Sphere pairing constraints |q_i|^2 - 1 and q_i . p_i in R^12."""
+def dsp_spheres() -> ConstraintSet:
+    """Sphere pairing constraints |q_i|^2 - 1 and q_i . p_i in R^12,
+    truncated at poly.DEFAULT_MAX_DEGREE."""
     n = 12
     polys = []
     for i in (0, 1):
@@ -138,7 +140,7 @@ def dsp_spheres(max_degree: int = DEFAULT_MAX_DEGREE) -> ConstraintSet:
             exp = [0] * n
             exp[3 * i + a] = 2
             terms[tuple(exp)] = 1.0
-        polys.append(TruncatedPoly(n, max_degree, terms) - 1.0)
+        polys.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms) - 1.0)
     for i in (0, 1):
         terms = {}
         for a in range(3):
@@ -146,15 +148,16 @@ def dsp_spheres(max_degree: int = DEFAULT_MAX_DEGREE) -> ConstraintSet:
             exp[3 * i + a] = 1
             exp[6 + 3 * i + a] = 1
             terms[tuple(exp)] = 1.0
-        polys.append(TruncatedPoly(n, max_degree, terms))
+        polys.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms))
     return ConstraintSet.from_polys(
         polys, names=["sphere1", "sphere2", "tangent1", "tangent2"])
 
 
-def dsp_hamiltonian(p: DspParams, max_degree: int = DEFAULT_MAX_DEGREE):
+def dsp_hamiltonian(p: DspParams):
     """Hamiltonian on R^12: kinetic form in (p1, p2) plus gravity.
 
-    Returns the SmoothMap together with its ambient polynomial form.
+    Returns the SmoothMap together with its ambient polynomial form,
+    truncated at poly.DEFAULT_MAX_DEGREE.
     Coordinates are x = (q1, q2, p1, p2) with canonical pairing
     (x_i, x_{6+i}).
     """
@@ -167,8 +170,8 @@ def dsp_hamiltonian(p: DspParams, max_degree: int = DEFAULT_MAX_DEGREE):
     v = np.zeros(12)
     v[2] = (p.m1 + p.m2) * p.g * p.l1
     v[5] = p.m2 * p.g * p.l2
-    poly = TruncatedPoly.from_quadratic_form(S, max_degree)
-    poly = poly + TruncatedPoly.from_linear(v, max_degree)
+    poly = TruncatedPoly.from_quadratic_form(S, DEFAULT_MAX_DEGREE)
+    poly = poly + TruncatedPoly.from_linear(v, DEFAULT_MAX_DEGREE)
     return SmoothMap.from_poly(poly, name="H_dsp"), poly
 
 
@@ -251,15 +254,16 @@ def _kkt_residual(Hm, Jm, cs, x, Omega, lam, mu):
     return np.concatenate([grad, cs.values(x), [Jm.value(x) - mu]])
 
 
-def _newton_refine(Hm, Jm, cs, x, Omega, mu, max_iter=50):
+def _newton_refine(Hm, Jm, cs, x, Omega, mu):
     """Damped Newton on the constrained critical-point system.
 
     Unknowns are (x, Omega, lambda); equations are the 12 stationarity
     components, the 4 sphere-pair constraints and the momentum value.
     The case formulas already solve the g = 0 system exactly, so this
     typically returns in zero iterations; it earns its keep for
-    perturbed seeds and nonzero gravity.
+    perturbed seeds and nonzero gravity (RuntimeError after 50 steps).
     """
+    max_iter = 50
     k = cs.k
     G = cs.jacobian(x)
     lam = np.linalg.lstsq(
@@ -307,9 +311,7 @@ def _newton_refine(Hm, Jm, cs, x, Omega, mu, max_iter=50):
 
 
 def dsp_equilibria(p: DspParams, case_id: int, mu: float | None = None,
-                   omega: float | None = None,
-                   max_degree: int = DEFAULT_MAX_DEGREE
-                   ) -> RelativeEquilibrium:
+                   omega: float | None = None) -> RelativeEquilibrium:
     """Relative equilibrium of the given stationary family.
 
     For the spinning cases (2, 3, 4) exactly one of ``mu`` and ``omega``
@@ -321,10 +323,9 @@ def dsp_equilibria(p: DspParams, case_id: int, mu: float | None = None,
     """
     if case_id not in DSP_CASE_NAMES:
         raise ValueError("case_id must be 1, 2, 3 or 4")
-    Hm, _ = dsp_hamiltonian(p, max_degree)
-    Jm = SmoothMap.from_poly(
-        dsp_action().momentum_polys(max_degree)[0], name="J")
-    cs = dsp_spheres(max_degree)
+    Hm, _ = dsp_hamiltonian(p)
+    Jm = SmoothMap.from_poly(dsp_action().momentum_polys()[0], name="J")
+    cs = dsp_spheres()
     q1, q2 = dsp_case_configuration(p, case_id)
 
     if case_id == 1:
@@ -361,8 +362,7 @@ def dsp_equilibria(p: DspParams, case_id: int, mu: float | None = None,
         multipliers=lam, singular=False, newton_iterations=n_iter)
 
 
-def dsp_slice(p: DspParams, re: RelativeEquilibrium,
-              max_degree: int = DEFAULT_MAX_DEGREE):
+def dsp_slice(p: DspParams, re: RelativeEquilibrium):
     """Slice model at the equilibrium: sphere pairs + Phi = J - mu + slice.
 
     The slice direction is adapted to the Hessian of the augmented
@@ -371,18 +371,17 @@ def dsp_slice(p: DspParams, re: RelativeEquilibrium,
     quadratic part would fail).  Raises NotLocallyFreeError on the static
     stratum (mu = 0 fixed points), where the generator field vanishes.
     """
-    base = dsp_spheres(max_degree)
+    base = dsp_spheres()
     act = dsp_action()
-    mom = MomentumData(act, [re.mu], max_degree)
-    _, H_poly = dsp_hamiltonian(p, max_degree)
-    J_poly = act.momentum_polys(max_degree)[0]
+    mom = MomentumData(act, [re.mu])
+    _, H_poly = dsp_hamiltonian(p)
+    J_poly = act.momentum_polys()[0]
     S = SmoothMap.from_poly(H_poly - re.Omega * J_poly).hessian(re.x0)
     if re.multipliers is not None:
         for lam, phi in zip(re.multipliers, base.constraints):
             S = S - lam * phi.hessian(re.x0)
     W = adapted_slice_directions(S, base, act, re.x0)
-    return build_slice(base, mom, re.x0, max_degree=max_degree,
-                       w_override=W)
+    return build_slice(base, mom, re.x0, w_override=W)
 
 
 class CallableConstraints:
@@ -478,13 +477,14 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
     partial report.  At non-elliptic equilibria the normalization itself
     refuses (degenerate or paired frequencies); the refusal is recorded
     under ``normal_form_error`` and the field-level intertwining check
-    still runs.  Pass ``normal_form=False`` to skip the chart stage.
+    still runs.  Pass ``normal_form=False`` to skip the chart stage.  The
+    slice model is returned under ``slice``.
     """
     out: dict = {"equilibrium": re}
     slc = dsp_slice(p, re)
-    out["slice_B"] = slc.B
+    out["slice"] = slc
     _, H_poly = dsp_hamiltonian(p)
-    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J_poly = dsp_action().momentum_polys()[0]
     H_om = H_poly - re.Omega * J_poly
     x0 = re.x0
 
@@ -508,7 +508,7 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
             flat = darboux_flatten(chart)
             Hc = compose_batch([H_om], flat.ambient_polys())[0].truncated(K)
             nf_chart = run_normal_form_report(Hc, CanonicalStructure(3), K=K)
-            pi = dirac_chart_structure(slc, flat, max_degree=K, x0=x0)
+            pi = dirac_chart_structure(slc, flat, max_degree=K)
             nf_dirac = run_normal_form_report(Hc, pi, K=K)
         except (ValueError, RuntimeError) as err:
             out["normal_form_error"] = str(err)
@@ -581,13 +581,14 @@ class MoserModel:
                 for p, nm in zip(self.residual_polys, self.residual_names)]
 
 
-def neumann_model(A, max_degree: int = DEFAULT_MAX_DEGREE) -> MoserModel:
+def neumann_model(A) -> MoserModel:
     """Harmonic oscillator constrained to the unit-sphere tangent bundle.
 
     H = |p|^2/2 + q.Aq/2 with G1 = (|q|^2 - 1)/2 and F1 = q.p; the pair
     satisfies {G1, F1} = |q|^2, equal to 1 on the locus.  Energy is the
     registered integral; the constrained field has the classical closed
-    form (p, -Aq + (q.Aq - |p|^2) q).
+    form (p, -Aq + (q.Aq - |p|^2) q).  Polynomials are truncated at
+    poly.DEFAULT_MAX_DEGREE.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -596,16 +597,16 @@ def neumann_model(A, max_degree: int = DEFAULT_MAX_DEGREE) -> MoserModel:
     S = np.zeros((2 * n, 2 * n))
     S[:n, :n] = A
     S[n:, n:] = np.eye(n)
-    H_poly = TruncatedPoly.from_quadratic_form(S, max_degree)
+    H_poly = TruncatedPoly.from_quadratic_form(S, DEFAULT_MAX_DEGREE)
     Sq = np.zeros((2 * n, 2 * n))
     Sq[:n, :n] = np.eye(n)
-    G1 = TruncatedPoly.from_quadratic_form(Sq, max_degree) - 0.5
-    F1 = TruncatedPoly.zero(2 * n, max_degree)
+    G1 = TruncatedPoly.from_quadratic_form(Sq, DEFAULT_MAX_DEGREE) - 0.5
+    F1 = TruncatedPoly.zero(2 * n, DEFAULT_MAX_DEGREE)
     for i in range(n):
         exp = [0] * (2 * n)
         exp[i] = 1
         exp[n + i] = 1
-        F1 = F1 + TruncatedPoly.monomial(exp, 1.0, max_degree)
+        F1 = F1 + TruncatedPoly.monomial(exp, 1.0, DEFAULT_MAX_DEGREE)
     return MoserModel(
         name="neumann", H=SmoothMap.from_poly(H_poly, name="H_neumann"),
         H_poly=H_poly, G_polys=[G1], F_polys=[F1],
@@ -613,9 +614,7 @@ def neumann_model(A, max_degree: int = DEFAULT_MAX_DEGREE) -> MoserModel:
 
 
 def separable_oscillator_model(omega=(1.0, 2.0 ** 0.5, 5.0 ** 0.5),
-                               broken: bool = False,
-                               max_degree: int = DEFAULT_MAX_DEGREE
-                               ) -> MoserModel:
+                               broken: bool = False) -> MoserModel:
     """Three uncoupled oscillators constrained to q3 = p3 = 0.
 
     The pair (G1, F1) = (q3, p3) satisfies the canonical relations
@@ -623,24 +622,25 @@ def separable_oscillator_model(omega=(1.0, 2.0 ** 0.5, 5.0 ** 0.5),
     two-oscillator flow, so the mode energies F2, F3 are integrals by
     direct reduction.  ``broken`` swaps F1 for q3 p3, whose relation
     {G1, F1} = q3 vanishes on the locus instead of matching delta_ij;
-    the filter must refuse it.
+    the filter must refuse it.  Polynomials are truncated at
+    poly.DEFAULT_MAX_DEGREE.
     """
     w = np.asarray(omega, dtype=float)
     if w.shape != (3,) or np.any(w <= 0.0):
         raise ValueError("need three positive frequencies")
-    n = 6
+    n, K = 6, DEFAULT_MAX_DEGREE
     mode = []
     for i in range(3):
         S = np.zeros((n, n))
         S[i, i] = w[i] ** 2
         S[3 + i, 3 + i] = 1.0
-        mode.append(TruncatedPoly.from_quadratic_form(S, max_degree))
+        mode.append(TruncatedPoly.from_quadratic_form(S, K))
     H_poly = mode[0] + mode[1] + mode[2]
-    G1 = TruncatedPoly.variable(2, n, max_degree)
+    G1 = TruncatedPoly.variable(2, n, K)
     if broken:
-        F1 = TruncatedPoly.monomial((0, 0, 1, 0, 0, 1), 1.0, max_degree)
+        F1 = TruncatedPoly.monomial((0, 0, 1, 0, 0, 1), 1.0, K)
     else:
-        F1 = TruncatedPoly.variable(5, n, max_degree)
+        F1 = TruncatedPoly.variable(5, n, K)
     return MoserModel(
         name="separable_oscillator" + ("_broken" if broken else ""),
         H=SmoothMap.from_poly(H_poly, name="H_sep"), H_poly=H_poly,
@@ -649,15 +649,16 @@ def separable_oscillator_model(omega=(1.0, 2.0 ** 0.5, 5.0 ** 0.5),
         residual_names=["E1", "E2"])
 
 
-def moser_filter_integrals(model: MoserModel, probes, tau: float = 1e-8,
-                           tau_canon: float = 1e-9) -> dict:
+def moser_filter_integrals(model: MoserModel, probes) -> dict:
     """Check the canonical pair relations, then filter the integrals.
 
-    Raises ValueError when the pair relations fail at any probe (the
-    model is then outside the commuting-integral mechanism).  Otherwise
-    reports max |{F_j, H}_D| and pairwise |{F_i, F_j}_D| over probes,
-    passing iff all stay below ``tau``.
+    Raises ValueError without probes, or when the pair relations fail
+    at any probe by more than 1e-9 (the model is then outside the
+    commuting-integral mechanism).  Otherwise reports max |{F_j, H}_D|
+    and pairwise |{F_i, F_j}_D| over probes, passing iff all stay below
+    1e-8.
     """
+    probes = probe_list(probes)
     cs = model.constraints
     r = model.r
     gm = cs.constraints[:r]
@@ -674,7 +675,7 @@ def moser_filter_integrals(model: MoserModel, probes, tau: float = 1e-8,
                         worst_canon,
                         abs(canonical_bracket_value(gm[i], gm[j], x)),
                         abs(canonical_bracket_value(fm[i], fm[j], x)))
-    if worst_canon > tau_canon:
+    if worst_canon > 1e-9:
         raise ValueError(
             "canonical constraint relations fail at the probes "
             "(defect %.3e); the commuting-integral criterion does not "
@@ -697,8 +698,8 @@ def moser_filter_integrals(model: MoserModel, probes, tau: float = 1e-8,
         "flow_residuals": flow,
         "pairwise_residuals": pairwise,
         "max_residual": worst,
-        "passed": bool(worst < tau),
-        "n_probes": len(list(probes)),
+        "passed": bool(worst < 1e-8),
+        "n_probes": len(probes),
     }
 
 
@@ -746,10 +747,12 @@ class KsModel:
         return self.hopf_map.value(x)
 
 
-def ks_model(max_degree: int = DEFAULT_MAX_DEGREE) -> KsModel:
-    n = 8
-    z = [TruncatedPoly.variable(i, n, max_degree) for i in range(4)]
-    w = [TruncatedPoly.variable(4 + i, n, max_degree) for i in range(4)]
+def ks_model() -> KsModel:
+    """The bilinear constraint and Hopf map of :class:`KsModel`, truncated
+    at poly.DEFAULT_MAX_DEGREE."""
+    n, K = 8, DEFAULT_MAX_DEGREE
+    z = [TruncatedPoly.variable(i, n, K) for i in range(4)]
+    w = [TruncatedPoly.variable(4 + i, n, K) for i in range(4)]
     iq = (0.0, 1.0, 0.0, 0.0)
     bl = quaternion_product(quaternion_conjugate(z),
                             quaternion_product(iq, w))[0]

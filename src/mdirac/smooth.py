@@ -17,14 +17,11 @@ so X_H = J0 grad(H) and {f, g} = grad(f)^T J0 grad(g), which gives
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .poly import TruncatedPoly
-
-PhasePoint = np.ndarray
-
 
 def phase_point(coords) -> np.ndarray:
     """Validate and return an ambient phase-space point."""

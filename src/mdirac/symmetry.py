@@ -28,6 +28,7 @@ from .dirac import (
     TAU_ON_N,
     TAU_SING,
     dirac_bracket,
+    probe_list,
 )
 from .poly import TruncatedPoly, DEFAULT_MAX_DEGREE
 from .smooth import SmoothMap, canonical_J, canonical_bracket_value
@@ -68,7 +69,6 @@ class GroupAction:
         self.config_dim = m
         self.phase_dim = 2 * m
         self.group_dim = len(self.config_generators)
-        self.abelian = True
 
     def phase_generator(self, i: int) -> np.ndarray:
         """Lifted generator matrix blockdiag(a_i, -a_i^T)."""
@@ -90,8 +90,9 @@ class GroupAction:
                 for i in range(self.group_dim))
         return scipy.linalg.expm(A)
 
-    def momentum_polys(self, max_degree=DEFAULT_MAX_DEGREE):
-        """J_i(q, p) = p . (a_i q) as ambient polynomials."""
+    def momentum_polys(self):
+        """J_i(q, p) = p . (a_i q) as ambient polynomials, truncated at
+        poly.DEFAULT_MAX_DEGREE."""
         m = self.config_dim
         n = 2 * m
         out = []
@@ -106,7 +107,7 @@ class GroupAction:
                     exp[c] += 1       # q_c
                     key = tuple(exp)
                     terms[key] = terms.get(key, 0.0) + a[r, c]
-            out.append(TruncatedPoly(n, max_degree, terms))
+            out.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms))
         return out
 
 
@@ -119,14 +120,15 @@ def momentum_map(action: GroupAction, x) -> np.ndarray:
 
 
 class MomentumData:
-    """Momentum map components, level value and constraints Phi = J - mu."""
+    """Momentum map components, level value and constraints Phi = J - mu
+    (from ``action.momentum_polys``)."""
 
-    def __init__(self, action: GroupAction, mu, max_degree=DEFAULT_MAX_DEGREE):
+    def __init__(self, action: GroupAction, mu):
         self.action = action
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.mu.size != action.group_dim:
             raise ValueError("one level value per generator required")
-        self.J_polys = action.momentum_polys(max_degree)
+        self.J_polys = action.momentum_polys()
         self.J_components = [SmoothMap.from_poly(p, name="J%d" % i)
                              for i, p in enumerate(self.J_polys)]
         self.Phi_polys = [p - float(v) for p, v in zip(self.J_polys, self.mu)]
@@ -189,12 +191,13 @@ def _locally_free_generators(action, x0) -> np.ndarray:
 
 
 def build_slice(base_constraints, momentum: MomentumData, x0,
-                max_degree=DEFAULT_MAX_DEGREE, w_override=None) -> SliceModel:
+                w_override=None) -> SliceModel:
     """Construct the slice model at x0.
 
     The default slice directions are the generator fields w_j =
     X_{Phi_j}(x0); the cross matrix B is then the generator Gram matrix,
-    invertible iff the action is locally free at x0.
+    invertible iff the action is locally free at x0.  The affine slice
+    polynomials are truncated at poly.DEFAULT_MAX_DEGREE.
     """
     x0 = np.asarray(x0, dtype=float)
     vals = [phi.value(x0) for phi in momentum.Phi]
@@ -208,10 +211,9 @@ def build_slice(base_constraints, momentum: MomentumData, x0,
         W = np.asarray(w_override, dtype=float)
     else:
         W = gens
-    n = x0.size
     ups_polys = []
     for w in W:
-        lin = TruncatedPoly.from_linear(w, max_degree)
+        lin = TruncatedPoly.from_linear(w, DEFAULT_MAX_DEGREE)
         ups_polys.append(lin - float(w @ x0))
     ups_cs = ConstraintSet.from_polys(
         ups_polys, names=["Ups%d" % j for j in range(len(ups_polys))])
@@ -228,8 +230,8 @@ def build_slice(base_constraints, momentum: MomentumData, x0,
     return tmp
 
 
-def adapted_slice_directions(S_aug, base_constraints, action, x0,
-                             tol=1e-8) -> np.ndarray:
+def adapted_slice_directions(S_aug, base_constraints, action,
+                             x0) -> np.ndarray:
     """Slice directions adapted to a quadratic form at x0.
 
     The generator-direction slice is transverse but generally not energy
@@ -254,9 +256,9 @@ def adapted_slice_directions(S_aug, base_constraints, action, x0,
     NotLocallyFreeError
         if x0 is a fixed point of the action.
     ValueError
-        if the reduced linear system is inconsistent beyond `tol`; this
-        happens when x0 is not a critical point of the locked inertia,
-        and no adapted slice exists there.
+        if the reduced linear system is inconsistent beyond a relative
+        residual of 1e-8; this happens when x0 is not a critical point
+        of the locked inertia, and no adapted slice exists there.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -274,7 +276,7 @@ def adapted_slice_directions(S_aug, base_constraints, action, x0,
     rhs = T.T @ (J @ gens.T)
     V = np.linalg.lstsq(Sr, rhs, rcond=None)[0]
     defect = float(np.max(np.abs(Sr @ V - rhs)))
-    if defect > tol * max(1.0, float(np.max(np.abs(rhs)))):
+    if defect > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
         raise ValueError(
             "no adapted slice at x0: the reduced Hessian system is "
             "inconsistent (residual %g); x0 does not look like a "
@@ -289,16 +291,17 @@ def adapted_slice_directions(S_aug, base_constraints, action, x0,
     return (J @ Vamb).T
 
 
-def check_drift_free(F: SmoothMap, slc: SliceModel, probes,
-                     tau_drift=TAU_DRIFT, fd_step=1e-5) -> dict:
+def check_drift_free(F: SmoothMap, slc: SliceModel, probes) -> dict:
     """Residuals of {Upsilon_j, F}_M at probes on the slice, plus the
     first-order (Hessian cross-block) defect at x0.
 
-    The cross block differentiates g_j(x) = {Upsilon_j, F}_M(x) along a
-    basis of the slice tangent space at x0; for quadratic F this is the
-    mixed Hessian block whose vanishing is the drift-free criterion.
+    Drift-free means every residual is below TAU_DRIFT (at least one
+    probe is required).  The cross block differentiates g_j(x) =
+    {Upsilon_j, F}_M(x) along a basis of the slice tangent space at x0
+    (central differences, step 1e-5); for quadratic F this is the mixed
+    Hessian block whose vanishing is the drift-free criterion.
     """
-    probes = list(probes)
+    probes = probe_list(probes)
     residuals = []
     for x in probes:
         vals = slc.full_constraints.values(x)
@@ -307,23 +310,24 @@ def check_drift_free(F: SmoothMap, slc: SliceModel, probes,
                              "(residual %g)" % np.max(np.abs(vals)))
         for u in slc.Upsilon:
             residuals.append(abs(slc.m_bracket(u, F, x)))
-    max_res = max(residuals) if residuals else 0.0
+    max_res = max(residuals)
     # slice tangent basis = kernel of the full constraint Jacobian at x0
     G = slc.full_constraints.jacobian(slc.x0)
     _, sv, Vt = scipy.linalg.svd(G, full_matrices=True)
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
     kernel = Vt[rank:].T
+    h = 1e-5
     cross = np.zeros((len(slc.Upsilon), kernel.shape[1]))
     for j, u in enumerate(slc.Upsilon):
         for a in range(kernel.shape[1]):
             v = kernel[:, a]
-            gp = slc.m_bracket(u, F, slc.x0 + fd_step * v)
-            gm = slc.m_bracket(u, F, slc.x0 - fd_step * v)
-            cross[j, a] = (gp - gm) / (2 * fd_step)
+            gp = slc.m_bracket(u, F, slc.x0 + h * v)
+            gm = slc.m_bracket(u, F, slc.x0 - h * v)
+            cross[j, a] = (gp - gm) / (2 * h)
     cross_norm = float(np.max(np.abs(cross))) if cross.size else 0.0
     return {
         "max_residual": float(max_res),
-        "is_drift_free": bool(max_res < tau_drift),
+        "is_drift_free": bool(max_res < TAU_DRIFT),
         "hessian_cross_block": cross_norm,
         "n_probes": len(probes),
     }
@@ -353,21 +357,20 @@ def locked_inertia(li: LockedInertia, q) -> np.ndarray:
     return li.value(q)
 
 
-def stationarity_test(li: LockedInertia, q0, slice_dirs,
-                      tau_stat=TAU_STAT, fd_step=1e-6) -> dict:
+def stationarity_test(li: LockedInertia, q0, slice_dirs) -> dict:
     """Directional derivatives of every locked-inertia component along
-    the configuration slice directions; stationary iff all below
-    tau_stat."""
+    the configuration slice directions (central differences, step 1e-6);
+    stationary iff all below TAU_STAT."""
     q0 = np.asarray(q0, dtype=float)
-    k = li.action.group_dim
+    h = 1e-6
     worst = 0.0
     for d in slice_dirs:
         d = np.asarray(d, dtype=float)
-        Ip = li.value(q0 + fd_step * d)
-        Im = li.value(q0 - fd_step * d)
-        deriv = (Ip - Im) / (2 * fd_step)
+        Ip = li.value(q0 + h * d)
+        Im = li.value(q0 - h * d)
+        deriv = (Ip - Im) / (2 * h)
         worst = max(worst, float(np.max(np.abs(deriv))))
     return {
         "max_directional_derivative": worst,
-        "stationary": bool(worst < tau_stat),
+        "stationary": bool(worst < TAU_STAT),
     }

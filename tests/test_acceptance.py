@@ -256,7 +256,7 @@ def test_criterion_05_drift_free_criterion(spin_cases):
     for case, (p, re, slc) in spin_cases.items():
         stat = max(stat, configuration_stationarity(p, re.x0))
         _, H_poly = dsp_hamiltonian(p)
-        Jp = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+        Jp = dsp_action().momentum_polys()[0]
         S = SmoothMap.from_poly(H_poly - re.Omega * Jp).hessian(re.x0)
         H2 = TruncatedPoly.from_quadratic_form(S, 2).shifted(-re.x0)
         probes = sample_probes(slc.full_constraints, re.x0, 20, 5e-5,
@@ -422,7 +422,7 @@ def test_criterion_10_numerical_hygiene():
     Hm, _ = dsp_hamiltonian(p)
     suite = {"dsp_H": Hm,
              "dsp_J": SmoothMap.from_poly(
-                 dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0])}
+                 dsp_action().momentum_polys()[0])}
     for phi in dsp_spheres().constraints:
         suite["dsp_" + phi.name] = phi
     suite["neumann_H"] = neumann_model(np.diag([1.0, 2.0, 4.0])).H

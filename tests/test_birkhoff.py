@@ -155,7 +155,7 @@ def test_dirac_chart_structure_inverts_pullback_form():
     cs, _ = tstar_sphere()
     fr = darboux_frame(cs, X0_SPHERE)
     ch = chart_series(cs, fr, K=4)
-    pi = dirac_chart_structure(cs, ch, x0=X0_SPHERE).pi
+    pi = dirac_chart_structure(cs, ch).pi
     W = pullback_form(ch)
     Winv = poly_mat_neumann_inverse(W, 4)
     J2 = canonical_J(2)
@@ -172,7 +172,7 @@ def test_dirac_chart_structure_on_flattened_chart():
     fr = darboux_frame(cs, X0_SPHERE)
     flat = darboux_flatten(chart_series(cs, fr, K=5))
     assert flat.transition is not None and flat.parent is not None
-    pi = dirac_chart_structure(cs, flat, max_degree=4, x0=X0_SPHERE).pi
+    pi = dirac_chart_structure(cs, flat, max_degree=4).pi
     W = pullback_form(flat.truncated(4))
     Winv = poly_mat_neumann_inverse(W, 4)
     for a in range(4):
@@ -193,7 +193,7 @@ def test_dirac_chart_structure_rejects_unrecorded_reparametrization():
     from mdirac.birkhoff import ChartSeries
     stripped = ChartSeries(frame=flat.frame, map=flat.map, K=flat.K)
     with pytest.raises(ValueError):
-        dirac_chart_structure(cs, stripped, x0=X0_SPHERE)
+        dirac_chart_structure(cs, stripped)
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +431,7 @@ def test_path_consistency_on_sphere():
 
     nf_c = run_normal_form_report(Hf, CanonicalStructure(2), K=4)
 
-    pi = dirac_chart_structure(cs, flat, max_degree=4, x0=X0_SPHERE)
+    pi = dirac_chart_structure(cs, flat, max_degree=4)
     # in Darboux coordinates the transported bracket is canonical
     # through the flattening order
     J2 = np.block([[np.zeros((2, 2)), np.eye(2)],
@@ -557,3 +557,10 @@ def test_intertwining_rejects_off_level_probe():
     F = SmoothMap.from_poly(md.Phi_polys[0])
     with pytest.raises(ValueError):
         intertwining_check(F, slc, [x0 + 0.5])
+
+
+def test_intertwining_rejects_empty_probe_list():
+    slc, md, _ = planar_slice()
+    F = SmoothMap.from_poly(md.Phi_polys[0])
+    with pytest.raises(ValueError, match="probe"):
+        intertwining_check(F, slc, [])

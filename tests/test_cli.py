@@ -194,6 +194,18 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("numerics", [
+    {"n_probes": 0}, {"K": 4.7}, {"chart_degree": -1},
+    {"field_probes": 2.5}])
+def test_cli_rejects_bad_integer_numerics(tmp_path, capsys, numerics):
+    cfg = _write(tmp_path / "c.json",
+                 {"experiment": "dsp_case3", "numerics": numerics})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_writes_nf_artifact(tmp_path):
     cfg = _write(tmp_path / "bnf.json",
                  {"experiment": "oscillator_bnf", "model": {"beta": 0.5},

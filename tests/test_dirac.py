@@ -41,7 +41,6 @@ from mdirac.models import (
     neumann_model,
 )
 from mdirac.poly import (
-    DEFAULT_MAX_DEGREE,
     CanonicalStructure,
     TruncatedPoly,
     coeff_distance,
@@ -523,7 +522,7 @@ def test_field_callable_matches_dirac_project_on_slice_set():
     re = dsp_equilibria(p, 2, omega=1.0)
     slc = dsp_slice(p, re)
     _, H_poly = dsp_hamiltonian(p)
-    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J_poly = dsp_action().momentum_polys()[0]
     H_om = SmoothMap.from_poly(H_poly - re.Omega * J_poly)
     X = dirac_field_callable(dsp_gradient(p, re.Omega),
                              dsp_full_callables(slc).jacobian)

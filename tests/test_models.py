@@ -32,7 +32,7 @@ from mdirac.models import (
     quaternion_product,
     separable_oscillator_model,
 )
-from mdirac.poly import DEFAULT_MAX_DEGREE, TruncatedPoly, compose_batch
+from mdirac.poly import TruncatedPoly, compose_batch
 from mdirac.smooth import SmoothMap
 from mdirac.symmetry import NotLocallyFreeError, check_drift_free, stationarity_test
 
@@ -52,7 +52,7 @@ def slice_h2_matrix(p, re):
     """Hessian of H_Omega restricted to the flattened slice chart."""
     slc = dsp_slice(p, re)
     _, H_poly = dsp_hamiltonian(p)
-    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J_poly = dsp_action().momentum_polys()[0]
     H_om = H_poly - re.Omega * J_poly
     frame = darboux_frame(slc)
     flat = darboux_flatten(chart_series(slc, frame, K=2))
@@ -97,7 +97,7 @@ def test_hamiltonian_and_momentum_rotation_invariant():
     p = DspParams(m1=1.3, m2=0.7, l1=1.1, l2=0.9, g=3.0)
     Hm, _ = dsp_hamiltonian(p)
     act = dsp_action()
-    J = act.momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J = act.momentum_polys()[0]
     rng = np.random.default_rng(11)
     for _ in range(6):
         x = rng.standard_normal(12)
@@ -173,7 +173,7 @@ def test_case4_bound_violation():
 def test_kkt_multipliers_balance_gradient():
     re = dsp_equilibria(UNIT, 2, omega=1.0)
     Hm, H_poly = dsp_hamiltonian(UNIT)
-    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J_poly = dsp_action().momentum_polys()[0]
     cs = dsp_spheres()
     grad = (H_poly - re.Omega * J_poly).gradient(re.x0)
     grad -= cs.jacobian(re.x0).T @ re.multipliers
@@ -222,7 +222,7 @@ def test_stationarity_fails_off_the_critical_set():
 def drift_report(p, re, seed=0):
     slc = dsp_slice(p, re)
     _, H_poly = dsp_hamiltonian(p)
-    J_poly = dsp_action().momentum_polys(DEFAULT_MAX_DEGREE)[0]
+    J_poly = dsp_action().momentum_polys()[0]
     H_om = H_poly - re.Omega * J_poly
     S = SmoothMap.from_poly(H_om).hessian(re.x0)
     H2 = TruncatedPoly.from_quadratic_form(S, 2).shifted(-re.x0)
@@ -343,6 +343,18 @@ def test_broken_pairing_is_refused():
     probes = sample_probes(good.constraints, x0, 6, 0.3, 9)
     with pytest.raises(ValueError, match="canonical"):
         moser_filter_integrals(bad, probes)
+
+
+def test_moser_filter_probe_list_and_iterator():
+    model = separable_oscillator_model()
+    x0 = np.array([0.4, -0.2, 0.0, 0.1, 0.5, 0.0])
+    probes = sample_probes(model.constraints, x0, 6, 0.3, 9)
+    with pytest.raises(ValueError, match="probe"):
+        moser_filter_integrals(model, [])
+    # an iterator is read once: the bracket loop sees every probe too
+    rep = moser_filter_integrals(model, iter(probes))
+    assert rep["n_probes"] == len(probes)
+    assert rep == moser_filter_integrals(model, probes)
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,12 @@ def test_drift_free_rejects_off_slice_probe():
         check_drift_free(md.Phi[0], slc, [x0 + 0.1])
 
 
+def test_drift_free_rejects_empty_probe_list():
+    slc, md, _ = planar_slice()
+    with pytest.raises(ValueError, match="probe"):
+        check_drift_free(md.Phi[0], slc, [])
+
+
 # ----------------------------------------------------------------------
 # locked inertia and stationarity
 # ----------------------------------------------------------------------
