@@ -31,9 +31,6 @@ from .poly import (  # noqa: F401
     PoissonStructure,
     CanonicalStructure,
     StructuredStructure,
-    poly_mul,
-    poly_eval,
-    poly_gradient,
     poisson_bracket,
     lie_transform,
 )

@@ -802,17 +802,15 @@ def conjugation_defect(result: NormalFormResult,
     return (recon - result.normal_form).max_abs_coeff()
 
 
-def transform_symplectic_defect(result: NormalFormResult,
-                                through_degree: int | None = None) -> float:
-    """Defect of Dtau^T J0 Dtau - J0 through the given degree.
+def transform_symplectic_defect(result: NormalFormResult) -> float:
+    """Defect of Dtau^T J0 Dtau - J0 through degree K - 1.
 
     Meaningful for the canonical (flattened-chart) path; the on-level
     path produces a Poisson map for the restricted Dirac structure
     rather than a symplectic map, so this check does not apply there.
     """
-    cap = result.K - 1 if through_degree is None else through_degree
     return _form_defect(
-        _pullback_form_of(result.composed_transform, result.K), cap)
+        _pullback_form_of(result.composed_transform, result.K), result.K - 1)
 
 
 def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,

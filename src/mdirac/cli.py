@@ -2,10 +2,11 @@
 configs, list the registry, and write reports plus data files.
 
 Exit codes: 0 when every check passes; 1 when at least one check fails
-(the report is still written); 2 on configuration errors (malformed
-JSON, unknown keys or experiment names, unreadable paths, empty
-argument list).  The logging level comes from the MDIRAC_LOG
-environment variable (error, info, debug; default error).
+(the report is still written); 2 on a usage error (empty argument
+list, unreadable path, malformed JSON) and on every config the registry
+refuses (``--seed`` and ``--out`` are applied first), with no report
+written.  The logging level comes from the MDIRAC_LOG environment
+variable (error, info, debug; default error).
 
 Reports are deterministic: the same config and seed produce a
 byte-identical report.json.
@@ -21,6 +22,7 @@ import sys
 
 from .dynamics import Trajectory, write_csv
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
     list_experiments,
     parse_config,
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(func=_cmd_run)
     lp = sub.add_parser("list", help="list registered experiments")
     lp.add_argument("--json", action="store_true",
-                    help="machine-readable registry")
+                    help="machine-readable registry with config schemas")
     lp.set_defaults(func=_cmd_list)
     return ap
 
@@ -65,8 +67,8 @@ def _cmd_list(args) -> int:
     rows = list_experiments()
     if args.json:
         print(json.dumps(
-            {"experiments": [{"name": n, "description": d}
-                             for n, d in rows]},
+            {"experiments": [dict(EXPERIMENTS[n].schema(), name=n)
+                             for n, _ in rows]},
             indent=2, sort_keys=True))
     else:
         width = max(len(n) for n, _ in rows)
@@ -86,12 +88,13 @@ def _cmd_run(args) -> int:
         print("config error: malformed JSON in %s: %s"
               % (args.config, err), file=sys.stderr)
         return 2
+    if isinstance(data, dict):
+        if args.seed is not None:
+            data["seed"] = args.seed
+        if args.out is not None:
+            data["output_dir"] = args.out
     try:
         cfg = parse_config(data)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
         log.info("running %s (seed %d)", cfg.experiment, cfg.seed)
         report, artifacts = run_experiment(cfg)
     except ConfigError as err:

@@ -171,11 +171,6 @@ class DiracContext:
                              "at x = %s" % (self.classification, self.x))
 
 
-def constraint_matrix(cs: ConstraintSet, x) -> np.ndarray:
-    """C_ij = {phi_i, phi_j}(x) = grad(phi_i)^T J0 grad(phi_j)."""
-    return DiracContext(cs, x).C
-
-
 def classify(cs: ConstraintSet, probes) -> str:
     """Classify the set over a family of probe points on N."""
     seen = set()

@@ -92,13 +92,17 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
     method is one of ``rk4``, ``projected_rk4`` (post-step Newton
     projection onto the given second-class constraints), or
     ``implicit_midpoint``.  monitors, a name -> function map, is
-    evaluated at every sample into the trajectory diagnostics.
+    evaluated at every sample into the trajectory diagnostics.  The
+    step count is round(T / dt), which must be at least one.
     """
     if not (np.isfinite(T) and np.isfinite(dt)) or T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive and finite")
     f = _as_callable(vec_field)
     x = np.array(x0, dtype=float)
     n_steps = int(round(T / dt))
+    if n_steps == 0:
+        raise ValueError("T = %g is under half a step dt = %g: round(T / dt) "
+                         "must be at least one step" % (T, dt))
     if method == "projected_rk4":
         if constraints is None:
             raise ValueError("projected_rk4 needs a constraint set")
@@ -143,11 +147,11 @@ def conserved_monitor(traj: Trajectory, fns: dict) -> dict:
     return out
 
 
-def flow_compare(field_a, field_b, x0, T: float, dt: float,
-                 method: str = "rk4", constraints=None) -> float:
-    """Integrate both fields from x0 on the same grid; max divergence."""
-    ta = integrate(field_a, x0, T, dt, method=method, constraints=constraints)
-    tb = integrate(field_b, x0, T, dt, method=method, constraints=constraints)
+def flow_compare(field_a, field_b, x0, T: float, dt: float) -> float:
+    """Integrate both fields from x0 with rk4 on the same grid; max
+    divergence."""
+    ta = integrate(field_a, x0, T, dt)
+    tb = integrate(field_b, x0, T, dt)
     return float(np.max(np.linalg.norm(ta.states - tb.states, axis=1)))
 
 
@@ -159,10 +163,14 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list) -> dict:
     locus: residual |{H_eps, f}_D - {H_eps, f}_M|.  The manifold bracket
     {,}_M is the base-constraint Dirac bracket when `model` is a slice
     model, else canonical; {,}_D always uses the full constraint set.
-    Passes when every residual is below 1e-8.
+    Passes when every residual is below 1e-8.  Raises ValueError on an
+    empty eps_list, which would pass with nothing checked.
 
     H_family: callable eps -> SmoothMap.  test_fns: name -> SmoothMap.
     """
+    eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("relatedness_check needs at least one eps value")
     if hasattr(model, "full_constraints"):
         full = model.full_constraints
         m_bracket = model.m_bracket

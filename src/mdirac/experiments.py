@@ -1,10 +1,12 @@
 """Registered experiments behind the command-line runner.
 
-Each experiment consumes a validated :class:`ExperimentConfig`, runs a
-set of named quantitative checks, and returns a JSON-ready report plus
-optional artifacts (trajectory tables, normal-form data).  Reports are
-deterministic for a fixed config and seed: every number comes from
-seeded sampling or closed-form evaluation, and the serializer sorts
+Each registry record (:class:`Experiment`) holds a runner and the one
+schema of its config: every model and numerics key with its kind and
+default, plus the cross-key rules.  An :class:`ExperimentConfig` is
+checked against it once, when built; ``run_experiment`` then runs the
+named quantitative checks and returns a JSON-ready report plus optional
+artifacts (trajectory tables, normal-form data).  Reports are
+deterministic for a fixed config and seed, and the serializer sorts
 keys, so identical inputs give byte-identical report files.
 
 The registry covers the full battery: bracket axioms and the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -77,116 +80,178 @@ class ConfigError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# configuration
+# configuration schema
 # ----------------------------------------------------------------------
 
 
-@dataclass
+def _is_real(v) -> bool:
+    """An int or float, not a bool, that is a finite float."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:
+        return False
+
+
+class Kind(NamedTuple):
+    """A config value's kind: name (shown in refusals and by ``mdirac
+    list --json``), test, and the conversion of an accepted value."""
+
+    name: str
+    test: Callable
+    convert: Callable
+
+    def check(self, where: str, value):
+        if not self.test(value):
+            raise ConfigError("%s must be a %s" % (where, self.name))
+        return self.convert(value)
+
+
+def _count(least: int) -> Kind:
+    """A count or order; an integral float is accepted."""
+    return Kind("positive integer" + (" >= %d" % least) * (least > 1),
+                lambda v: _is_real(v) and v >= least
+                and float(v).is_integer(), int)
+
+
+def _reals(name: str, ok) -> Kind:
+    return Kind(name, lambda v: isinstance(v, list)
+                and all(map(_is_real, v)) and ok(v),
+                lambda v: [float(t) for t in v])
+
+
+COUNT = _count(1)
+REAL = Kind("finite real", _is_real, float)
+POSITIVE = TOLERANCE = Kind("positive real",
+                            lambda v: _is_real(v) and v > 0, float)
+NON_NEGATIVE = Kind("non-negative real", lambda v: _is_real(v) and v >= 0,
+                    float)
+REALS = _reals("non-empty list of reals", lambda v: len(v) > 0)
+REAL3 = _reals("list of 3 reals", lambda v: len(v) == 3)
+POSITIVE3 = _reals("list of 3 positive reals",
+                   lambda v: len(v) == 3 and min(v) > 0)
+SEED = Kind("non-negative integer", lambda v: type(v) is int and v >= 0, int)
+PATH = Kind("string path", lambda v: isinstance(v, str), str)
+OBJECT = Kind("JSON object", lambda v: isinstance(v, dict), dict)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Registry record: the runner and the one schema of its config.
+
+    ``model`` and ``numerics`` map each key to (kind, default), None for
+    a spin selector the case leaves unset; ``rules`` holds the cross-key
+    rules as (text, check(cfg)) pairs.  ``runner(cfg, checks)`` only
+    computes: it fills the CheckSet, returns (report extras, artifacts).
+    """
+
+    runner: Callable
+    description: str
+    model: dict
+    numerics: dict
+    rules: tuple
+
+    def schema(self) -> dict:
+        """JSON-ready keys, defaults, kinds and rules of the config."""
+        def table(spec):
+            return {k: {"kind": kind.name, "default": d}
+                    for k, (kind, d) in spec.items()}
+        num = dict(table(self.numerics), tolerances={
+            "kind": "check name -> " + TOLERANCE.name, "default": {}})
+        return {"description": self.description, "model": table(self.model),
+                "numerics": num, "rules": [text for text, _ in self.rules]}
+
+
+def _overlay(section: str, given: dict, spec: dict, experiment: str) -> dict:
+    values = {k: d for k, (_, d) in spec.items()}
+    for key, val in given.items():
+        if key not in spec:
+            raise ConfigError("unknown %s key %r for %s"
+                              % (section, key, experiment))
+        values[key] = spec[key][0].check("%s key %r" % (section, key), val)
+    return values
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run request: experiment name, model parameters,
-    numerical overrides, output directory and probe seed."""
+    """Run request, checked once against its registry record when built:
+    unknown keys, value kinds and cross-key rules raise ConfigError.
+    ``params`` and ``num`` hold the given model and numerics values over
+    the record's defaults.  (Tolerance overrides are checked when
+    ``run_experiment`` builds the CheckSet, still before the runner.)
+    """
 
     experiment: str
     seed: int = 0
     output_dir: str | None = None
     model: dict = field(default_factory=dict)
     numerics: dict = field(default_factory=dict)
+    params: dict = field(init=False, repr=False, compare=False)
+    num: dict = field(init=False, repr=False, compare=False)
 
-
-_TOP_KEYS = {"experiment", "seed", "output_dir", "model", "numerics"}
+    def __post_init__(self):
+        name = self.experiment
+        if not isinstance(name, str) or name not in EXPERIMENTS:
+            raise ConfigError(
+                "unknown experiment %r; run 'list' for the registry" % (name,))
+        SEED.check("seed", self.seed)
+        if self.output_dir is not None:
+            PATH.check("output_dir", self.output_dir)
+        OBJECT.check("model", self.model)
+        OBJECT.check("numerics", self.numerics)
+        rec = EXPERIMENTS[name]
+        num = {k: v for k, v in self.numerics.items() if k != "tolerances"}
+        object.__setattr__(self, "params",
+                           _overlay("model", self.model, rec.model, name))
+        object.__setattr__(self, "num",
+                           _overlay("numerics", num, rec.numerics, name))
+        for _, check in rec.rules:
+            check(self)
 
 
 def parse_config(data) -> ExperimentConfig:
-    """Build an ExperimentConfig from a decoded JSON object.
-
-    Raises ConfigError on unknown keys, missing or unregistered
-    experiment names, and ill-typed fields.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - _TOP_KEYS)
+    """ExperimentConfig of a decoded JSON object (ConfigError if bad)."""
+    OBJECT.check("config", data)
+    unknown = sorted(set(data) - {"experiment", "seed", "output_dir",
+                                  "model", "numerics"})
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
     if "experiment" not in data:
         raise ConfigError("config needs an 'experiment' name")
-    name = data["experiment"]
-    if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ConfigError(
-            "unknown experiment %r; run 'list' for the registry" % (name,))
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    out = data.get("output_dir")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("output_dir must be a string path")
-    model = data.get("model", {})
-    numerics = data.get("numerics", {})
-    if not isinstance(model, dict):
-        raise ConfigError("model must be an object")
-    if not isinstance(numerics, dict):
-        raise ConfigError("numerics must be an object")
-    return ExperimentConfig(experiment=name, seed=seed, output_dir=out,
-                            model=dict(model), numerics=dict(numerics))
+    return ExperimentConfig(**data)
 
 
-def _merge_numerics(cfg: ExperimentConfig, defaults: dict) -> dict:
-    """Overlay config numerics on experiment defaults, rejecting unknown
-    keys, non-positive tolerance overrides, and counts or orders (keys
-    whose default is an int) that are not positive integers."""
-    num = dict(defaults)
-    num["tolerances"] = dict(defaults.get("tolerances", {}))
-    for key, val in cfg.numerics.items():
-        if key == "tolerances":
-            if not isinstance(val, dict):
-                raise ConfigError("tolerances must be an object")
-            for nm, tol in val.items():
-                if not isinstance(tol, (int, float)) or tol <= 0.0:
-                    raise ConfigError(
-                        "tolerance %r must be a positive number" % nm)
-                num["tolerances"][nm] = float(tol)
-        elif key in defaults and key != "tolerances":
-            if isinstance(defaults[key], list):
-                if not isinstance(val, list):
-                    raise ConfigError("numerics key %r must be a list" % key)
-                num[key] = [float(v) for v in val]
-            elif not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError("numerics key %r must be a number" % key)
-            elif isinstance(defaults[key], int) and (
-                    isinstance(val, float) and not val.is_integer()
-                    or val <= 0):
-                raise ConfigError("numerics key %r must be a positive "
-                                  "integer" % key)
-            else:
-                num[key] = type(defaults[key])(val)
-        else:
-            raise ConfigError("unknown numerics key %r for %s"
-                              % (key, cfg.experiment))
-    return num
+def _at_least(key: str, floor: str):
+    """Rule: numerics[key] >= numerics[floor]."""
+    def check(cfg):
+        if cfg.num[key] < cfg.num[floor]:
+            raise ConfigError("numerics key %r (%g) must be at least %s (%g)"
+                              % (key, cfg.num[key], floor, cfg.num[floor]))
+    return "%s >= %s" % (key, floor), check
 
 
-def _model_params(cfg: ExperimentConfig, allowed: dict) -> dict:
-    """Overlay config model parameters on defaults (same key policy)."""
-    params = dict(allowed)
-    for key, val in cfg.model.items():
-        if key not in allowed:
-            raise ConfigError("unknown model key %r for %s"
-                              % (key, cfg.experiment))
-        params[key] = val
-    return params
+def _one_spin(cfg):
+    given = [k for k in ("mu", "omega") if k in cfg.model]
+    if len(given) == 2:
+        raise ConfigError("give exactly one of model.mu / model.omega")
+    if given:
+        cfg.params["omega" if given[0] == "mu" else "mu"] = None
 
 
 class CheckSet:
     """Accumulates named pass/fail checks with override-able tolerances.
 
     ``bound`` passes when value < tol, ``exceeds`` when value > floor
-    (negative controls), ``flag`` records a boolean outcome.  Tolerance
-    overrides that never match a check name are configuration typos and
-    raise at ``finalize``.
+    (negative controls), ``flag`` records a boolean outcome.  Each
+    override (``numerics.tolerances``) must be a positive real; one that
+    never matches a check name is a typo and raises at ``finalize``.
     """
 
-    def __init__(self, overrides=None):
+    def __init__(self, overrides: dict):
+        OBJECT.check("tolerances", overrides)
         self.table = {}
-        self._over = dict(overrides or {})
+        self._over = {nm: TOLERANCE.check("tolerance %r" % nm, tol)
+                      for nm, tol in overrides.items()}
         self._used = set()
 
     def _tol(self, name, default):
@@ -247,39 +312,17 @@ def to_jsonable(obj):
     return obj
 
 
-def _report(cfg: ExperimentConfig, checks: CheckSet, extra=None) -> dict:
-    checks.finalize()
-    rep = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "checks": checks.table,
-        "passed": checks.passed,
-    }
-    if extra:
-        rep.update(extra)
-    return to_jsonable(rep)
-
-
 # ----------------------------------------------------------------------
 # shared model plumbing
 # ----------------------------------------------------------------------
 
 
-_DSP_MODEL_DEFAULTS = {
-    2: dict(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=0.0, omega=1.0, mu=None),
-    3: dict(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=0.0, omega=None, mu=1.0),
-    4: dict(m1=1.5, m2=1.0, l1=1.0, l2=0.8, g=0.0, omega=0.7, mu=None),
-}
-
-
-def _dsp_setup(cfg: ExperimentConfig, case_id: int):
-    mp = _model_params(cfg, _DSP_MODEL_DEFAULTS[case_id])
-    if (mp["mu"] is None) == (mp["omega"] is None):
-        raise ConfigError("give exactly one of model.mu / model.omega")
-    p = DspParams(m1=mp["m1"], m2=mp["m2"], l1=mp["l1"], l2=mp["l2"],
-                  g=mp["g"])
-    kw = {"mu": mp["mu"]} if mp["mu"] is not None else {"omega": mp["omega"]}
-    return p, kw
+def _dsp_setup(params: dict):
+    """DspParams and the spin selector keyword of a pendulum model."""
+    p = DspParams(**{k: params[k] for k in ("m1", "m2", "l1", "l2", "g")})
+    if params["mu"] is not None:
+        return p, {"mu": params["mu"]}
+    return p, {"omega": params["omega"]}
 
 
 def _equilibrium_summary(re) -> dict:
@@ -312,10 +355,11 @@ def _dsp_field_agreement(p, re, slc, n_probes, radius, tilt, seed):
     return tuple(gaps)
 
 
-def _thin(traj: Trajectory, max_rows: int = 2001) -> Trajectory:
-    """Subsample a trajectory for CSV emission, keeping the endpoints."""
+def _thin(traj: Trajectory) -> Trajectory:
+    """Subsample a trajectory to at most 2001 CSV rows, keeping the
+    endpoints."""
     n = traj.times.size
-    stride = max(1, int(math.ceil((n - 1) / (max_rows - 1)))) if n > 1 else 1
+    stride = max(1, int(math.ceil((n - 1) / 2000))) if n > 1 else 1
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
@@ -381,10 +425,8 @@ def _coord(i, n):
     return SmoothMap.from_poly(TruncatedPoly.variable(i, n, 2))
 
 
-def _run_sphere_dirac(cfg: ExperimentConfig):
-    num = _merge_numerics(cfg, {"n_probes": 200, "n_functions": 5,
-                                "dsp_radius": 1e-2, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_sphere_dirac(cfg: ExperimentConfig, checks: CheckSet):
+    num = cfg.num
     rng = np.random.default_rng(cfg.seed)
     cs = _sphere_pair_constraints()
 
@@ -420,8 +462,6 @@ def _run_sphere_dirac(cfg: ExperimentConfig):
     checks.bound("closed_form_qq", err_qq, 1e-12)
 
     # the same axioms on the pendulum 6-constraint slice set
-    if cfg.model:
-        raise ConfigError("sphere_dirac takes no model parameters")
     p2 = DspParams()
     re = dsp_equilibria(p2, 2, omega=1.0)
     slc = dsp_slice(p2, re)
@@ -433,16 +473,12 @@ def _run_sphere_dirac(cfg: ExperimentConfig):
     checks.bound("dsp_antisymmetry", antisym, 1e-10)
     checks.bound("dsp_annihilation", annihil, 1e-9)
     checks.bound("dsp_tangency", tangency, 1e-9)
-    return _report(cfg, checks, {"n_probes": num["n_probes"]}), {}
+    return {"n_probes": num["n_probes"]}, {}
 
 
-def _run_dsp_case(cfg: ExperimentConfig, case_id: int):
-    p, kw = _dsp_setup(cfg, case_id)
-    num = _merge_numerics(cfg, {
-        "K": 4, "chart_degree": 5, "n_probes": 20, "field_probes": 100,
-        "drift_radius": 5e-5, "twin_radius": 1e-5, "field_radius": 1e-5,
-        "tilt": 0.05, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_dsp_case(cfg: ExperimentConfig, checks: CheckSet, case_id: int):
+    p, kw = _dsp_setup(cfg.params)
+    num = cfg.num
     re = dsp_equilibria(p, case_id, **kw)
     out = dsp_pipeline(p, re, K=num["K"], chart_degree=num["chart_degree"],
                        n_probes=num["n_probes"],
@@ -455,7 +491,7 @@ def _run_dsp_case(cfg: ExperimentConfig, case_id: int):
     checks.bound("drift_residual", out["drift"]["max_residual"], 1e-7)
     if "halted" in out:
         extra["halted"] = out["halted"]
-        return _report(cfg, checks, extra), artifacts
+        return extra, artifacts
     checks.bound("hessian_cross_block",
                  out["drift"]["hessian_cross_block"], 1e-9)
     checks.bound("stationarity",
@@ -493,14 +529,18 @@ def _run_dsp_case(cfg: ExperimentConfig, case_id: int):
         extra["normal_form_error"] = out.get("normal_form_error")
 
     # parameters past the case's bound, and on it
-    bounds = {3: (DspParams(l1=1.3, l2=1.0), DspParams(l1=1.0, l2=1.0)),
-              4: (DspParams(m1=0.1, m2=5.0, l1=1.0, l2=2.0),
-                  DspParams(m1=1.0, m2=1.0, l1=1.0, l2=2.0))}
-    if case_id in bounds:
-        past, on = bounds[case_id]
+    if case_id in _CASE_BOUNDS:
+        _, past, on = _CASE_BOUNDS[case_id]
         checks.flag("bound_rejects_violation", not _admits(past, case_id))
         checks.flag("bound_allows_equality", _admits(on, case_id))
-    return _report(cfg, checks, extra), artifacts
+    return extra, artifacts
+
+
+# parameter domain of cases 3 and 4: its bound, a point past it, one on it
+_CASE_BOUNDS = {
+    3: ("l1/l2 <= 1", DspParams(l1=1.3, l2=1.0), DspParams(l1=1.0, l2=1.0)),
+    4: ("(m2/(m1+m2))(l2/l1) <= 1", DspParams(m1=0.1, m2=5.0, l1=1.0, l2=2.0),
+        DspParams(m1=1.0, m2=1.0, l1=1.0, l2=2.0))}
 
 
 def _admits(p: DspParams, case_id: int) -> bool:
@@ -512,11 +552,8 @@ def _admits(p: DspParams, case_id: int) -> bool:
     return True
 
 
-def _run_dsp_static_negative(cfg: ExperimentConfig):
-    mp = _model_params(cfg, dict(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=1.0))
-    num = _merge_numerics(cfg, {"tolerances": {}})
-    checks = CheckSet(num["tolerances"])
-    p = DspParams(**mp)
+def _run_dsp_static_negative(cfg: ExperimentConfig, checks: CheckSet):
+    p = DspParams(**cfg.params)
     re = dsp_equilibria(p, 1)
     checks.flag("static_momentum_zero", re.mu == 0.0)
     checks.flag("marked_singular", re.singular)
@@ -533,15 +570,12 @@ def _run_dsp_static_negative(cfg: ExperimentConfig):
         checks.flag("static_rejects_spin", False)
     except ValueError:
         checks.flag("static_rejects_spin", True)
-    return _report(cfg, checks, {"equilibrium": _equilibrium_summary(re)}), {}
+    return {"equilibrium": _equilibrium_summary(re)}, {}
 
 
-def _run_dsp_flow(cfg: ExperimentConfig):
-    p, kw = _dsp_setup(cfg, 2)
-    num = _merge_numerics(cfg, {
-        "T_project": 50.0, "T_compare": 10.0, "dt": 1e-3,
-        "start_radius": 2e-5, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_dsp_flow(cfg: ExperimentConfig, checks: CheckSet):
+    p, kw = _dsp_setup(cfg.params)
+    num = cfg.num
     re = dsp_equilibria(p, 2, **kw)
     slc = dsp_slice(p, re)
     base = dsp_sphere_callables()
@@ -572,9 +606,8 @@ def _run_dsp_flow(cfg: ExperimentConfig):
     X4 = dirac_field_callable(grad, base.jacobian)
     div = flow_compare(X6, X4, z0, T=num["T_compare"], dt=num["dt"])
     checks.bound("flow_divergence", div, 1e-7)
-    artifacts = {"dsp_flow.csv": _thin(traj)}
-    return _report(cfg, checks,
-                   {"equilibrium": _equilibrium_summary(re)}), artifacts
+    return ({"equilibrium": _equilibrium_summary(re)},
+            {"dsp_flow.csv": _thin(traj)})
 
 
 def _neumann_callables() -> CallableConstraints:
@@ -593,14 +626,9 @@ def _neumann_callables() -> CallableConstraints:
     return CallableConstraints(values, jacobian, 2)
 
 
-def _run_neumann_flow(cfg: ExperimentConfig):
-    mp = _model_params(cfg, {"A": [1.0, 2.0, 4.0]})
-    A = np.asarray(mp["A"], dtype=float)
-    if A.ndim == 1:
-        A = np.diag(A)
-    num = _merge_numerics(cfg, {"n_probes": 100, "T": 100.0, "dt": 1e-3,
-                                "probe_radius": 0.4, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_neumann_flow(cfg: ExperimentConfig, checks: CheckSet):
+    A = np.diag(cfg.params["A"])
+    num = cfg.num
     model = neumann_model(A)
     cs = model.constraints
     x_ref = np.array([1.0, 0.0, 0.0, 0.0, 0.4, -0.2])
@@ -631,19 +659,12 @@ def _run_neumann_flow(cfg: ExperimentConfig):
                  1e-8)
     checks.bound("constraint_residual",
                  float(np.max(traj.diagnostics["phi"])), 1e-10)
-    artifacts = {"neumann_flow.csv": _thin(traj)}
-    return _report(cfg, checks, {"n_probes": num["n_probes"]}), artifacts
+    return {"n_probes": num["n_probes"]}, {"neumann_flow.csv": _thin(traj)}
 
 
-def _run_moser_separable(cfg: ExperimentConfig):
-    mp = _model_params(cfg, {"omega": [1.0, math.sqrt(2.0),
-                                       math.sqrt(5.0)]})
-    w = np.asarray(mp["omega"], dtype=float)
-    num = _merge_numerics(cfg, {"n_probes": 20, "T": 100.0, "dt": 1e-3,
-                                "probe_radius": 0.3,
-                                "eps": [0.0, 1e-3, 1e-2],
-                                "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
+    w = np.asarray(cfg.params["omega"])
+    num = cfg.num
     model = separable_oscillator_model(w)
     x0 = np.array([0.4, -0.2, 0.0, 0.1, 0.5, 0.0])
     probes = sample_probes(model.constraints, x0, num["n_probes"],
@@ -686,14 +707,11 @@ def _run_moser_separable(cfg: ExperimentConfig):
     rel = relatedness_check(lambda e: model.H_poly + e * coupling,
                             model.constraints, fns, probes, num["eps"])
     checks.bound("bracket_identity", rel["max_residual"], 1e-8)
-    extra = {"flow_residuals": filt["flow_residuals"],
-             "relatedness": rel["per_eps"]}
-    return _report(cfg, checks, extra), {}
+    return {"flow_residuals": filt["flow_residuals"],
+            "relatedness": rel["per_eps"]}, {}
 
 
-def _run_ks_diagnostic(cfg: ExperimentConfig):
-    num = _merge_numerics(cfg, {"n_points": 50, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_ks_diagnostic(cfg: ExperimentConfig, checks: CheckSet):
     model = ks_model()
     rng = np.random.default_rng(cfg.seed)
 
@@ -710,7 +728,7 @@ def _run_ks_diagnostic(cfg: ExperimentConfig):
     # Hopf map under the right action (left multiplication conjugates
     # the image instead of fixing it)
     bl_err = hopf_err = norm_err = 0.0
-    for _ in range(num["n_points"]):
+    for _ in range(cfg.num["n_points"]):
         x = rng.standard_normal(8)
         th = rng.uniform(0.0, 2.0 * math.pi)
         u = (math.cos(th), math.sin(th), 0.0, 0.0)
@@ -728,17 +746,13 @@ def _run_ks_diagnostic(cfg: ExperimentConfig):
     checks.bound("hopf_phase_invariance", hopf_err, 1e-10)
     checks.bound("hopf_norm_identity", norm_err, 1e-10)
     checks.flag("hopf_first_component_zero", model.hopf_polys[0].is_zero())
-    extra = {"origin_diagnostics": {"rank_dphi": rep0["rank_dphi"],
-                                    "flags": rep0["flags"]}}
-    return _report(cfg, checks, extra), {}
+    return {"origin_diagnostics": {"rank_dphi": rep0["rank_dphi"],
+                                   "flags": rep0["flags"]}}, {}
 
 
-def _run_oscillator_bnf(cfg: ExperimentConfig):
-    mp = _model_params(cfg, {"beta": 1.0})
-    num = _merge_numerics(cfg, {"K": 4, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
-    beta = float(mp["beta"])
-    K = num["K"]
+def _run_oscillator_bnf(cfg: ExperimentConfig, checks: CheckSet):
+    beta = cfg.params["beta"]
+    K = cfg.num["K"]
     q = TruncatedPoly.variable(0, 2, K)
     p = TruncatedPoly.variable(1, 2, K)
     H = 0.5 * (q * q + p * p) + beta * q ** 4
@@ -757,12 +771,13 @@ def _run_oscillator_bnf(cfg: ExperimentConfig):
     checks.bound("commutation", max(rr["commutation"].values()), 1e-9)
     checks.bound("conjugation_defect", rr["conjugation_defect"], 1e-8)
     checks.bound("symplectic_defect", rr["symplectic_defect"], 1e-9)
-    extra = {"oracle_coefficient": coeff}
-    return _report(cfg, checks, extra), {
+    return {"oracle_coefficient": coeff}, {
         "nf_result.json": to_jsonable(res.to_json_dict())}
 
 
-def _fd_gradient(fn, x, h=1e-6):
+def _fd_gradient(fn, x):
+    """Central-difference gradient, step 1e-6."""
+    h = 1e-6
     g = np.zeros(x.size)
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -771,10 +786,8 @@ def _fd_gradient(fn, x, h=1e-6):
     return g
 
 
-def _run_hygiene(cfg: ExperimentConfig):
-    num = _merge_numerics(cfg, {"n_points": 100, "n_triples": 6,
-                                "scale": 0.7, "tolerances": {}})
-    checks = CheckSet(num["tolerances"])
+def _run_hygiene(cfg: ExperimentConfig, checks: CheckSet):
+    num = cfg.num
     rng = np.random.default_rng(cfg.seed)
 
     p = DspParams(m1=1.3, m2=0.7, l1=1.1, l2=0.9, g=3.0)
@@ -811,8 +824,7 @@ def _run_hygiene(cfg: ExperimentConfig):
                  + poisson_bracket(h, poisson_bracket(f, g, ps), ps))
         jac_worst = max(jac_worst, total.max_abs_coeff())
     checks.bound("jacobi_defect", jac_worst, 1e-12)
-    extra = {"gradient_rel_err": worst}
-    return _report(cfg, checks, extra), {}
+    return {"gradient_rel_err": worst}, {}
 
 
 # ----------------------------------------------------------------------
@@ -820,63 +832,129 @@ def _run_hygiene(cfg: ExperimentConfig):
 # ----------------------------------------------------------------------
 
 
+def _pendulum(**defaults) -> dict:
+    """Pendulum model schema: positive masses and lengths, non-negative
+    gravity and, for a spinning case, the spin selectors omega and mu."""
+    kinds = dict(m1=POSITIVE, m2=POSITIVE, l1=POSITIVE, l2=POSITIVE,
+                 g=NON_NEGATIVE, omega=REAL, mu=REAL)
+    return {k: (kinds[k], d) for k, d in defaults.items()}
+
+
+_ONE_SPIN = ("exactly one of mu / omega; giving one replaces the case's "
+             "default of the other", _one_spin)
+_CASE2 = _pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=0.0, omega=1.0, mu=None)
+
+
+def _in_domain(case_id: int):
+    """Rule: the case's stationary configuration exists (``_admits``)."""
+    text = "case %d domain: %s" % (case_id, _CASE_BOUNDS[case_id][0])
+
+    def check(cfg):
+        if not _admits(_dsp_setup(cfg.params)[0], case_id):
+            raise ConfigError("model parameters outside the " + text)
+    return text, check
+
+
+def _dsp_case(case_id: int, description: str, model: dict):
+    rules = (_ONE_SPIN, _at_least("chart_degree", "K"))
+    if case_id in _CASE_BOUNDS:
+        rules += (_in_domain(case_id),)
+    return Experiment(
+        lambda cfg, checks: _run_dsp_case(cfg, checks, case_id), description,
+        model, {"K": (_count(3), 4), "chart_degree": (COUNT, 5),
+                "n_probes": (COUNT, 20), "field_probes": (COUNT, 100),
+                "drift_radius": (POSITIVE, 5e-5),
+                "twin_radius": (POSITIVE, 1e-5),
+                "field_radius": (POSITIVE, 1e-5), "tilt": (REAL, 0.05)},
+        rules)
+
+
 EXPERIMENTS = {
-    "sphere_dirac": (
+    "sphere_dirac": Experiment(
         _run_sphere_dirac,
         "Dirac bracket axioms on the sphere pair and the pendulum slice "
-        "set, plus the closed-form sphere brackets"),
-    "dsp_case2": (
-        lambda cfg: _run_dsp_case(cfg, 2),
-        "Double spherical pendulum, both links horizontal: drift-free "
-        "slice, order-4 normal form on two bracket paths, field twin"),
-    "dsp_case3": (
-        lambda cfg: _run_dsp_case(cfg, 3),
-        "Double spherical pendulum, inner link horizontal: drift-free "
-        "slice, degenerate quadratic part refusal, parameter bound"),
-    "dsp_case4": (
-        lambda cfg: _run_dsp_case(cfg, 4),
-        "Double spherical pendulum, outer link horizontal: drift-free "
-        "slice, repeated-frequency refusal, parameter bound"),
-    "dsp_static_negative": (
+        "set, plus the closed-form sphere brackets",
+        {}, {"n_probes": (COUNT, 200), "n_functions": (COUNT, 5),
+             "dsp_radius": (POSITIVE, 1e-2)}, ()),
+    "dsp_case2": _dsp_case(
+        2, "Double spherical pendulum, both links horizontal: drift-free "
+        "slice, order-4 normal form on two bracket paths, field twin",
+        _CASE2),
+    "dsp_case3": _dsp_case(
+        3, "Double spherical pendulum, inner link horizontal: drift-free "
+        "slice, degenerate quadratic part refusal, parameter bound",
+        _pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=0.0, omega=None,
+                  mu=1.0)),
+    "dsp_case4": _dsp_case(
+        4, "Double spherical pendulum, outer link horizontal: drift-free "
+        "slice, repeated-frequency refusal, parameter bound",
+        _pendulum(m1=1.5, m2=1.0, l1=1.0, l2=0.8, g=0.0, omega=0.7,
+                  mu=None)),
+    "dsp_static_negative": Experiment(
         _run_dsp_static_negative,
         "Hanging equilibrium: slice construction must refuse the fixed "
-        "point of the rotation action"),
-    "dsp_flow": (
+        "point of the rotation action",
+        _pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=1.0), {}, ()),
+    "dsp_flow": Experiment(
         _run_dsp_flow,
         "Projected pendulum integration (momentum and constraint "
-        "conservation) and slice-vs-sphere flow agreement"),
-    "neumann_flow": (
+        "conservation) and slice-vs-sphere flow agreement",
+        _CASE2, {"T_project": (POSITIVE, 50.0), "T_compare": (POSITIVE, 10.0),
+                 "dt": (POSITIVE, 1e-3), "start_radius": (POSITIVE, 2e-5)},
+        (_ONE_SPIN, _at_least("T_project", "dt"),
+         _at_least("T_compare", "dt"))),
+    "neumann_flow": Experiment(
         _run_neumann_flow,
         "Neumann oscillator on the sphere: multiplier field identity "
-        "and a long projected run"),
-    "moser_separable": (
+        "and a long projected run",
+        {"A": (REAL3, [1.0, 2.0, 4.0])},
+        {"n_probes": (COUNT, 100), "T": (POSITIVE, 100.0),
+         "dt": (POSITIVE, 1e-3), "probe_radius": (POSITIVE, 0.4)},
+        (_at_least("T", "dt"),)),
+    "moser_separable": Experiment(
         _run_moser_separable,
         "Separable constrained oscillator: canonical pair filter, "
-        "integral drift, bracket-level near-integrability"),
-    "ks_diagnostic": (
+        "integral drift, bracket-level near-integrability",
+        {"omega": (POSITIVE3, [1.0, math.sqrt(2.0), math.sqrt(5.0)])},
+        {"n_probes": (COUNT, 20), "T": (POSITIVE, 100.0),
+         "dt": (POSITIVE, 1e-3), "probe_radius": (POSITIVE, 0.3),
+         "eps": (REALS, [0.0, 1e-3, 1e-2])},
+        (_at_least("T", "dt"),)),
+    "ks_diagnostic": Experiment(
         _run_ks_diagnostic,
         "Bilinear quaternion constraint: singular level at the origin, "
-        "phase invariance, Hopf map identities"),
-    "oscillator_bnf": (
+        "phase invariance, Hopf map identities",
+        {}, {"n_points": (COUNT, 50)}, ()),
+    "oscillator_bnf": Experiment(
         _run_oscillator_bnf,
         "Quartic oscillator normal form against the circle-average "
-        "oracle"),
-    "hygiene": (
+        "oracle",
+        {"beta": (REAL, 1.0)}, {"K": (_count(4), 4)}, ()),
+    "hygiene": Experiment(
         _run_hygiene,
         "Finite-difference gradient audit and the polynomial Jacobi "
-        "identity"),
+        "identity",
+        {}, {"n_points": (COUNT, 100), "n_triples": (COUNT, 6),
+             "scale": (POSITIVE, 0.7)}, ()),
 }
 
 
 def list_experiments() -> list:
     """Sorted (name, description) pairs of the registry."""
-    return [(name, EXPERIMENTS[name][1]) for name in sorted(EXPERIMENTS)]
+    return [(name, EXPERIMENTS[name].description)
+            for name in sorted(EXPERIMENTS)]
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch a validated config.  Returns (report, artifacts) where
-    artifacts maps file names to Trajectory or JSON-ready dict values."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError("unknown experiment %r" % (cfg.experiment,))
-    runner = EXPERIMENTS[cfg.experiment][0]
-    return runner(cfg)
+    """Run a validated config: build the CheckSet from its tolerance
+    overrides (refusing bad ones before the runner starts), run the
+    experiment, and assemble the report.  Returns (report, artifacts)
+    where artifacts maps file names to Trajectory or JSON-ready dict
+    values."""
+    checks = CheckSet(cfg.numerics.get("tolerances", {}))
+    extra, artifacts = EXPERIMENTS[cfg.experiment].runner(cfg, checks)
+    checks.finalize()
+    report = {"experiment": cfg.experiment, "seed": cfg.seed,
+              "checks": checks.table, "passed": checks.passed}
+    report.update(extra)
+    return to_jsonable(report), artifacts

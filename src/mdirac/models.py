@@ -478,8 +478,13 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
     refuses (degenerate or paired frequencies); the refusal is recorded
     under ``normal_form_error`` and the field-level intertwining check
     still runs.  Pass ``normal_form=False`` to skip the chart stage.  The
-    slice model is returned under ``slice``.
+    slice model is returned under ``slice``.  Raises ValueError when
+    chart_degree < K: the chart would truncate terms the degree-K normal
+    form reads.
     """
+    if chart_degree < K:
+        raise ValueError("chart_degree (%d) must be at least K (%d)"
+                         % (chart_degree, K))
     out: dict = {"equilibrium": re}
     slc = dsp_slice(p, re)
     out["slice"] = slc

@@ -438,19 +438,6 @@ class StructuredStructure(PoissonStructure):
 # ----------------------------------------------------------------------
 
 
-def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Product truncated to the smaller of the two truncation orders."""
-    return a * b
-
-
-def poly_eval(f: TruncatedPoly, x) -> float:
-    return f.eval(x)
-
-
-def poly_gradient(f: TruncatedPoly, x) -> np.ndarray:
-    return f.gradient(x)
-
-
 def poisson_bracket(f: TruncatedPoly, g: TruncatedPoly,
                     ps: PoissonStructure) -> TruncatedPoly:
     """Poisson bracket {f, g} under the given structure."""

@@ -353,10 +353,6 @@ class LockedInertia:
         return out
 
 
-def locked_inertia(li: LockedInertia, q) -> np.ndarray:
-    return li.value(q)
-
-
 def stationarity_test(li: LockedInertia, q0, slice_dirs) -> dict:
     """Directional derivatives of every locked-inertia component along
     the configuration slice directions (central differences, step 1e-6);

@@ -1,6 +1,7 @@
 """Tests for config validation, the experiment registry and the
 command-line front end (exit codes, determinism, artifacts)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -204,6 +205,81 @@ def test_cli_rejects_bad_integer_numerics(tmp_path, capsys, numerics):
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "positive integer" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+# Each config is refused with exit 2 before its runner starts; the
+# fragment names the broken rule.
+_REFUSED = [
+    ("neumann_flow", {"numerics": {"dt": 0}}, "numerics key 'dt'"),
+    ("ks_diagnostic", {"seed": -1}, "seed"),
+    ("oscillator_bnf", {"model": {"beta": "x"}}, "model key 'beta'"),
+    ("dsp_static_negative", {"model": {"m1": "abc"}}, "model key 'm1'"),
+    ("dsp_static_negative", {"model": {"m1": -1}}, "model key 'm1'"),
+    ("moser_separable", {"model": {"omega": [1, 2]}}, "model key 'omega'"),
+    ("moser_separable", {"numerics": {"eps": ["a"]}}, "numerics key 'eps'"),
+    ("dsp_case3", {"model": {"l1": 1.3}}, "case 3 domain"),
+    ("oscillator_bnf", {"numerics": {"K": 3}}, "numerics key 'K'"),
+    ("ks_diagnostic", {"model": {"bogus": 1}}, "unknown model key"),
+    ("hygiene", {"model": {"bogus": 1}}, "unknown model key"),
+    ("ks_diagnostic",
+     {"numerics": {"tolerances": {"bl_phase_invariance": True}}},
+     "tolerance 'bl_phase_invariance'"),
+    ("moser_separable", {"numerics": {"eps": []}}, "numerics key 'eps'"),
+    ("neumann_flow", {"numerics": {"T": 1e-4}}, "at least dt"),
+    ("dsp_case2", {"numerics": {"chart_degree": 3}}, "at least K"),
+    ("neumann_flow", {"numerics": {"dt": 10 ** 400}}, "numerics key 'dt'"),
+]
+
+
+@pytest.mark.parametrize("name,config,frag", _REFUSED)
+def test_cli_refuses_before_running(tmp_path, capsys, monkeypatch, name,
+                                    config, frag):
+    def runner(cfg, checks):
+        raise AssertionError("runner entered")
+
+    monkeypatch.setitem(EXPERIMENTS, name,
+                        dataclasses.replace(EXPERIMENTS[name], runner=runner))
+    cfg = _write(tmp_path / "c.json", dict(config, experiment=name))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert frag in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_seed_flag_is_validated(tmp_path, capsys):
+    cfg = _write(tmp_path / "ks.json", {"experiment": "ks_diagnostic"})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_registry_defaults_validate():
+    for name, rec in EXPERIMENTS.items():
+        model = {k: d for k, (_, d) in rec.model.items() if d is not None}
+        numerics = {k: d for k, (_, d) in rec.numerics.items()}
+        cfg = ExperimentConfig(name, model=model, numerics=numerics)
+        default = ExperimentConfig(name)
+        assert cfg.params == default.params and cfg.num == default.num
+
+
+def test_spin_selector_replaces_default():
+    cfg = ExperimentConfig("dsp_case2", model={"mu": 0.5})
+    assert cfg.params["mu"] == 0.5 and cfg.params["omega"] is None
+    with pytest.raises(ConfigError, match="exactly one"):
+        ExperimentConfig("dsp_case2", model={"mu": 0.5, "omega": 1.0})
+
+
+def test_cli_list_json_schema(capsys):
+    assert main(["list", "--json"]) == 0
+    rows = {e["name"]: e for e in json.loads(capsys.readouterr().out)
+            ["experiments"]}
+    case2 = rows["dsp_case2"]
+    assert case2["numerics"]["K"] == {"kind": "positive integer >= 3",
+                                      "default": 4}
+    assert case2["model"]["mu"] == {"kind": "finite real", "default": None}
+    assert "chart_degree >= K" in case2["rules"]
+    assert rows["neumann_flow"]["rules"] == ["T >= dt"]
 
 
 def test_cli_writes_nf_artifact(tmp_path):

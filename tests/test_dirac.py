@@ -17,7 +17,6 @@ from mdirac.dirac import (
     ConstraintSet,
     DiracContext,
     classify,
-    constraint_matrix,
     dirac_bracket,
     dirac_field,
     dirac_field_callable,
@@ -84,7 +83,7 @@ def test_sphere_pair_constraint_matrix():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(6)
-        C = constraint_matrix(cs, x)
+        C = DiracContext(cs, x).C
         r2 = x[:3] @ x[:3]
         np.testing.assert_allclose(C, [[0.0, 2 * r2], [-2 * r2, 0.0]],
                                    atol=1e-12)
@@ -94,7 +93,7 @@ def test_single_constraint_matrix_is_zero():
     n = 4
     phi = TruncatedPoly.variable(0, n, 3)
     cs = ConstraintSet.from_polys([phi])
-    C = constraint_matrix(cs, np.ones(n))
+    C = DiracContext(cs, np.ones(n)).C
     np.testing.assert_allclose(C, [[0.0]])
 
 

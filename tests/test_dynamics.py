@@ -111,6 +111,14 @@ def test_integrate_input_validation():
         integrate(harmonic_field, x0, T=1.0, dt=0.1, method="projected_rk4")
 
 
+def test_integrate_rejects_zero_steps():
+    # under half a step, T would integrate nothing and show zero drift
+    with pytest.raises(ValueError, match="round"):
+        integrate(harmonic_field, [1.0, 0.0], T=1e-4, dt=1e-3)
+    assert integrate(harmonic_field, [1.0, 0.0], T=1e-3, dt=1e-3) \
+        .times.size == 2
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_nonfinite_state_detected():
     with pytest.raises(RuntimeError, match="non-finite"):
@@ -268,6 +276,14 @@ def test_relatedness_constant_test_function():
     rep = relatedness_check(lambda e: model.H_poly, model.constraints,
                             {"c": one}, probes, [0.0])
     assert rep["max_residual"] == 0.0
+
+
+def test_relatedness_rejects_empty_eps_list():
+    # no eps would pass with max_residual 0.0 and nothing checked
+    model, probes, fns = separable_setup()
+    with pytest.raises(ValueError, match="eps"):
+        relatedness_check(lambda e: model.H_poly, model.constraints, fns,
+                          probes, [])
 
 
 def test_relatedness_builds_one_context_per_probe(monkeypatch):

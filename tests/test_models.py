@@ -288,6 +288,14 @@ def test_pipeline_case2_consistency():
     assert out["intertwining"]["passed"]
 
 
+def test_pipeline_rejects_chart_degree_below_K():
+    # a degree-3 chart truncates terms a K = 4 normal form reads: its
+    # resonant coefficients would be wrong yet pass every check
+    re = dsp_equilibria(UNIT, 2, omega=1.0)
+    with pytest.raises(ValueError, match="chart_degree"):
+        dsp_pipeline(UNIT, re, K=4, chart_degree=3)
+
+
 def test_pipeline_records_refusal_at_degenerate_case():
     re = dsp_equilibria(UNIT, 3, mu=1.0)
     out = dsp_pipeline(UNIT, re, K=3, chart_degree=3, n_probes=6)

@@ -13,9 +13,6 @@ from mdirac.poly import (
     coeff_distance,
     lie_transform,
     poisson_bracket,
-    poly_eval,
-    poly_gradient,
-    poly_mul,
 )
 
 
@@ -131,14 +128,14 @@ def test_derivative():
 def test_eval_and_gradient_simple():
     # f = q^2 + p^2 at (1, 0)
     f = TruncatedPoly(2, 4, {(2, 0): 1.0, (0, 2): 1.0})
-    assert poly_eval(f, [1.0, 0.0]) == pytest.approx(1.0)
-    np.testing.assert_allclose(poly_gradient(f, [1.0, 0.0]), [2.0, 0.0])
+    assert f.eval([1.0, 0.0]) == pytest.approx(1.0)
+    np.testing.assert_allclose(f.gradient([1.0, 0.0]), [2.0, 0.0])
 
 
 def test_constant_eval():
     c = TruncatedPoly.constant(3.5, 3, 2)
-    assert poly_eval(c, [9.0, -2.0, 4.0]) == 3.5
-    np.testing.assert_allclose(poly_gradient(c, [1.0, 2.0, 3.0]), 0.0)
+    assert c.eval([9.0, -2.0, 4.0]) == 3.5
+    np.testing.assert_allclose(c.gradient([1.0, 2.0, 3.0]), 0.0)
 
 
 def test_gradient_matches_finite_differences():
@@ -147,11 +144,11 @@ def test_gradient_matches_finite_differences():
     for _ in range(10):
         f = random_poly(rng, 4, 3, 6)
         x = rng.standard_normal(4)
-        g = poly_gradient(f, x)
+        g = f.gradient(x)
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fd = (poly_eval(f, x + e) - poly_eval(f, x - e)) / (2 * h)
+            fd = (f.eval(x + e) - f.eval(x - e)) / (2 * h)
             denom = max(1.0, abs(fd))
             assert abs(g[i] - fd) / denom < 1e-6
 

@@ -13,7 +13,6 @@ from mdirac.symmetry import (
     NotLocallyFreeError,
     build_slice,
     check_drift_free,
-    locked_inertia,
     momentum_map,
     stationarity_test,
 )
@@ -197,7 +196,7 @@ def test_locked_inertia_planar():
     li = LockedInertia(lambda q: np.eye(2), act)
     q = np.array([0.6, -0.8])
     # |a q|^2 = |q|^2 for a rotation generator
-    np.testing.assert_allclose(locked_inertia(li, q), [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(li.value(q), [[1.0]], atol=1e-14)
 
 
 def test_stationarity_detects_critical_directions():
