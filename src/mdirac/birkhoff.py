@@ -48,6 +48,7 @@ from .poly import (
     TruncatedPoly,
     compose_batch,
     lie_transform,
+    poly_dot,
 )
 from .smooth import J_apply, SmoothMap, canonical_J
 
@@ -57,16 +58,6 @@ TAU_TWIN = 1e-8
 
 class NearResonanceWarning(UserWarning):
     """A nonzero homological eigenvalue sits close to the resonance cut."""
-
-
-def _resolve_level(obj, x0=None):
-    """Accept a SliceModel or a plain ConstraintSet (+ point)."""
-    if isinstance(obj, ConstraintSet):
-        if x0 is None:
-            raise ValueError("a base point is required with a raw "
-                             "constraint set")
-        return obj, np.asarray(x0, dtype=float)
-    return obj.full_constraints, np.asarray(obj.x0, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -121,14 +112,14 @@ def _symplectic_gram_schmidt(kernel, J0):
     return np.column_stack(es + fs)
 
 
-def darboux_frame(slice_or_cs, x0=None) -> DarbouxFrame:
-    """Symplectic basis of ker(dphi) at the slice point.
+def darboux_frame(cs: ConstraintSet, x0) -> DarbouxFrame:
+    """Symplectic basis of ker(dphi) at x0 on the level of cs.
 
-    The combined constraint set must be second class at x0; the kernel
-    of the stacked Jacobian is then a symplectic subspace and the
-    Gram-Schmidt pairing cannot degenerate.
+    The constraint set must be second class at x0; the kernel of the
+    stacked Jacobian is then a symplectic subspace and the Gram-Schmidt
+    pairing cannot degenerate.
     """
-    cs, x0 = _resolve_level(slice_or_cs, x0)
+    x0 = np.asarray(x0, dtype=float)
     ctx = DiracContext(cs, x0)
     ctx.require_second_class()
     G = ctx.G
@@ -190,14 +181,16 @@ class ChartSeries:
                            parent=self.parent, transition=trans)
 
 
-def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6) -> ChartSeries:
-    """Solve phi(x0 + V u + grad-complement corrections) = 0 per degree.
+def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
+                 K: int = 6) -> ChartSeries:
+    """Solve phi(x0 + V u + grad-complement corrections) = 0 per degree,
+    with x0 = frame.x0.
 
     Corrections are taken in the span of the constraint gradients at x0,
     so each degree reduces to a linear solve against the (invertible)
     Gram matrix of the gradients.  A residual above 1e-9 raises.
     """
-    cs, x0 = _resolve_level(slice_or_cs, frame.x0)
+    x0 = frame.x0
     phis = cs.centered_polys(x0, max_degree=max(
         K, max(p.degree() for p in cs.polys)))
     V = frame.basis
@@ -209,6 +202,7 @@ def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6) -> ChartSeries:
     except Exception as exc:  # pragma: no cover - scipy raises LinAlgError
         raise RuntimeError("constraint gradient Gram matrix is "
                            "singular") from exc
+    zero = TruncatedPoly.zero(r, K)
     xi = [TruncatedPoly.from_linear(V[a, :], K) for a in range(n)]
     for deg in range(2, K + 1):
         residue = compose_batch(phis, xi)
@@ -222,11 +216,10 @@ def chart_series(slice_or_cs, frame: DarbouxFrame, K: int = 6) -> ChartSeries:
             sol = lu_solve(lu, -rhs)
             for i, ci in enumerate(sol):
                 corr[i][exp] = ci
-        for i in range(cs.k):
-            cpoly = TruncatedPoly(r, K, corr[i])
-            for a in range(n):
-                if G[i, a] != 0.0:
-                    xi[a] = xi[a] + G[i, a] * cpoly
+        # xi_a + sum_i G_ia corr_i, the current xi_a leading the sum
+        cpolys = [TruncatedPoly(r, K, c) for c in corr]
+        xi = [poly_dot([1.0, *G[:, a]], [xi[a], *cpolys], zero)
+              for a in range(n)]
     residue = compose_batch(phis, xi)
     worst = max(p.truncated(K).max_abs_coeff() for p in residue)
     if worst > 1e-9:
@@ -244,18 +237,16 @@ def _pullback_form_of(psi, K: int) -> np.ndarray:
     m = n // 2
     r = psi[0].n_vars
     D = [[psi[a].derivative(al) for al in range(r)] for a in range(n)]
+    # (J0 Dpsi) pairs row a with row m+a: W_al,be sums, over a,
+    # D[a][al] D[m+a][be] + D[m+a][al] (-D[a][be])
+    left = [[d for a in range(m) for d in (D[a][al], D[m + a][al])]
+            for al in range(r)]
+    right = [[d for a in range(m) for d in (D[m + a][be], -D[a][be])]
+             for be in range(r)]
     zero = TruncatedPoly.zero(r, K)
-    W = np.empty((r, r), dtype=object)
-    for al in range(r):
-        W[al, al] = zero
-        for be in range(al + 1, r):
-            acc = zero
-            for a in range(m):
-                # (J0 Dpsi) pairs row a with row m+a
-                acc = acc + D[a][al] * D[m + a][be] - D[m + a][al] * D[a][be]
-            W[al, be] = acc
-            W[be, al] = -acc
-    return W
+    return poly_antisymmetric(
+        r, (poly_dot(left[al], right[be], zero) for al in range(r)
+            for be in range(al + 1, r)), zero)
 
 
 def _form_defect(W, through_degree: int) -> float:
@@ -293,30 +284,17 @@ def darboux_flatten(chart: ChartSeries) -> ChartSeries:
     Jd = canonical_J(d)
     cur = np.asarray(chart.map, dtype=object)
     total = None if chart.transition is None else list(chart.transition)
+    zero = TruncatedPoly.zero(r, K)
+    u = [TruncatedPoly.variable(a, r, K) for a in range(r)]
     for deg in range(1, K - 1):
         W = _pullback_form_of(cur, K)
-        E = np.empty((r, r), dtype=object)
-        worst = 0.0
-        for a in range(r):
-            for b in range(r):
-                E[a, b] = (W[a, b] - float(Jd[a, b])).homogeneous_part(deg)
-                worst = max(worst, E[a, b].max_abs_coeff())
-        if worst <= 1e-12:
+        E = np.array([[(W[a, b] - float(Jd[a, b])).homogeneous_part(deg)
+                        for b in range(r)] for a in range(r)], dtype=object)
+        if max(e.max_abs_coeff() for e in E.flat) <= 1e-12:
             continue
-        beta = []
-        for b in range(r):
-            acc = TruncatedPoly.zero(r, K)
-            for a in range(r):
-                ua = TruncatedPoly.variable(a, r, K)
-                acc = acc + ua * E[a, b]
-            beta.append((1.0 / (deg + 2)) * acc)
-        chi = []
-        for a in range(r):
-            g = TruncatedPoly.zero(r, K)
-            for b in range(r):
-                if Jd[a, b] != 0.0:
-                    g = g - float(Jd[a, b]) * beta[b]
-            chi.append(TruncatedPoly.variable(a, r, K) + g)
+        beta = [(1.0 / (deg + 2)) * poly_dot(u, E[:, b], zero)
+                for b in range(r)]
+        chi = [u[a] + poly_dot(-Jd[a], beta, zero) for a in range(r)]
         cur = np.array(compose_batch(list(cur), chi), dtype=object)
         total = chi if total is None else compose_batch(total, chi)
     if total is None:
@@ -339,8 +317,9 @@ def _transport(pi, chi, Dinv, K: int) -> StructuredStructure:
     r = pi.shape[0]
     upper = compose_batch([pi[a, c].truncated(K) for a in range(r)
                            for c in range(a + 1, r)], chi)
-    pic = poly_antisymmetric(r, upper, TruncatedPoly.zero(r, K))
-    return StructuredStructure(poly_congruence(Dinv, pic))
+    zero = TruncatedPoly.zero(r, K)
+    pic = poly_antisymmetric(r, upper, zero)
+    return StructuredStructure(poly_congruence(Dinv, pic, zero))
 
 
 def transport_structure(ps: StructuredStructure,
@@ -365,14 +344,11 @@ def transport_structure(ps: StructuredStructure,
             want = 1.0 if c == i else 0.0
             if abs(chi[i].coefficient(e) - want) > 1e-12:
                 raise ValueError("transition map must be near-identity")
-    D = np.empty((r, r), dtype=object)
-    for i in range(r):
-        for j in range(r):
-            D[i, j] = chi[i].derivative(j)
+    D = [[chi[i].derivative(j) for j in range(r)] for i in range(r)]
     return _transport(pi, chi, poly_mat_neumann_inverse(D, K), K)
 
 
-def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
+def dirac_chart_structure(cs: ConstraintSet, chart: ChartSeries,
                           max_degree: int | None = None
                           ) -> StructuredStructure:
     """Dirac bracket of the chart coordinates, as polynomials in u.
@@ -386,10 +362,10 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
 
     A flattened chart is handled by building the structure on its raw
     parent and transporting through the recorded transition map.  The
-    constant part of the result is exactly the canonical matrix.  A raw
+    constant part of the result is exactly the canonical matrix.  The
     constraint set is expanded about the chart's ``frame.x0``.
     """
-    cs, x0 = _resolve_level(slice_or_cs, chart.frame.x0)
+    x0 = chart.frame.x0
     K = chart.K if max_degree is None else max_degree
     if chart.transition is not None:
         base = dirac_chart_structure(cs, chart.parent, max_degree=K)
@@ -399,11 +375,10 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
     duals = np.linalg.solve(V.T @ V, V.T)
     # the linear-inverse property: duals . map(u) must reproduce u
     psi = [p.truncated(K) for p in chart.map]
+    zero_u = TruncatedPoly.zero(r, K)
     for a in range(r):
-        probe = TruncatedPoly.zero(r, K)
-        for c in range(n):
-            probe = probe + duals[a, c] * psi[c]
-        probe = probe - TruncatedPoly.variable(a, r, K)
+        probe = (poly_dot(duals[a], psi, zero_u)
+                 - TruncatedPoly.variable(a, r, K))
         if probe.max_abs_coeff() > 1e-9:
             raise ValueError(
                 "chart corrections leave the constraint-gradient "
@@ -414,17 +389,14 @@ def dirac_chart_structure(slice_or_cs, chart: ChartSeries,
     C = poly_constraint_matrix(X)
     flat = [C[i, j] for i in range(k) for j in range(i + 1, k)]
     zero_amb = TruncatedPoly.zero(n, amb_deg)
-    for a in range(r):
-        for i in range(k):
-            flat.append(sum((duals[a, c] * X[i, c] for c in range(n)
-                             if duals[a, c] != 0.0), zero_amb))
+    flat += [poly_dot(duals[a], X[i], zero_amb)
+             for a in range(r) for i in range(k)]
     composed = compose_batch(flat, psi)
     n_upper = k * (k - 1) // 2
-    zero_u = TruncatedPoly.zero(r, K)
     Cinv = poly_mat_neumann_inverse(
         poly_antisymmetric(k, composed[:n_upper], zero_u), K)
     b = np.array(composed[n_upper:], dtype=object).reshape(r, k)
-    pi = poly_congruence(b, Cinv)
+    pi = poly_congruence(b, Cinv, zero_u)
     const = duals @ canonical_J(n // 2) @ duals.T
     for a in range(r):
         for c in range(a + 1, r):
@@ -507,12 +479,10 @@ def oscillator_poly(eta, max_degree: int) -> TruncatedPoly:
     """H2 = sum_j eta_j (Q_j^2 + P_j^2) / 2 in 2d variables."""
     eta = np.asarray(eta, dtype=float)
     d = eta.size
-    out = TruncatedPoly.zero(2 * d, max_degree)
-    for j in range(d):
-        q = TruncatedPoly.variable(j, 2 * d, max_degree)
-        p = TruncatedPoly.variable(d + j, 2 * d, max_degree)
-        out = out + 0.5 * eta[j] * (q * q + p * p)
-    return out
+    zero = TruncatedPoly.zero(2 * d, max_degree)
+    x = [TruncatedPoly.variable(i, 2 * d, max_degree) for i in range(2 * d)]
+    squares = [poly_dot(x[j::d], x[j::d], zero) for j in range(d)]
+    return poly_dot(0.5 * eta, squares, zero)
 
 
 def quadratic_matrix(H2: TruncatedPoly) -> np.ndarray:
@@ -778,8 +748,8 @@ def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
         if generators[k].is_zero():
             continue
         comps = [lie_transform(c, -generators[k], work) for c in comps]
-    comps = [sum((T[a, b] * comps[b] for b in range(n)),
-                 TruncatedPoly.zero(n, K)) for a in range(n)]
+    zero = TruncatedPoly.zero(n, K)
+    comps = [poly_dot(T[a], comps, zero) for a in range(n)]
     report = {"commutation": commutation}
     result = NormalFormResult(
         K=K, H2=qd, normal_form=H, resonant_terms=resonant,

@@ -11,7 +11,9 @@ is second-class (C invertible).  ``dirac_structure_series`` gives a
 truncated-series version of the bracket around a point in ambient
 coordinates; the normal-form pipeline does not use it, but builds its
 chart-variable bracket with ``birkhoff.dirac_chart_structure`` from the
-polynomial matrix helpers below.
+polynomial matrix helpers below.  Their entries are TruncatedPoly or
+real (a constant matrix enters as reals), and every entry of a product
+is one ``poly.poly_dot``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .poly import TruncatedPoly, StructuredStructure
+from .poly import TruncatedPoly, StructuredStructure, poly_dot
 from .smooth import J_apply, SmoothMap
 
 #: rank / singular-value thresholds (scaled by the matrix norm)
@@ -261,17 +263,9 @@ def dirac_field_callable(gradient, constraint_jacobian):
 # ----------------------------------------------------------------------
 
 
-def _poly_dot(u, v):
-    """sum_s u[s] v[s] over paired entries (TruncatedPoly or real)."""
-    acc = None
-    for x, y in zip(u, v):
-        t = x * y
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def poly_mat_mul(A, B):
-    """Product of object-dtype matrices of TruncatedPoly."""
+def poly_mat_mul(A, B, zero):
+    """Product of object-dtype matrices whose entries are TruncatedPoly or
+    real; an entry with no nonzero term pair is ``zero``."""
     A = np.asarray(A, dtype=object)
     B = np.asarray(B, dtype=object)
     n, m = A.shape
@@ -281,7 +275,7 @@ def poly_mat_mul(A, B):
     out = np.empty((n, r), dtype=object)
     for i in range(n):
         for j in range(r):
-            out[i, j] = _poly_dot(A[i], B[:, j])
+            out[i, j] = poly_dot(A[i], B[:, j], zero)
     return out
 
 
@@ -297,27 +291,17 @@ def poly_antisymmetric(n, upper, zero):
     return out
 
 
-def poly_congruence(A, Pi):
+def poly_congruence(A, Pi, zero):
     """A Pi A^T for an antisymmetric object matrix Pi, exactly
     antisymmetric: A Pi is formed once, then only the upper triangle of
     the product with A^T, which is mirrored.  A may hold TruncatedPoly or
-    real entries."""
+    real entries; ``zero`` is the zero polynomial of the result."""
     A = np.asarray(A, dtype=object)
-    AP = poly_mat_mul(A, Pi)
+    AP = poly_mat_mul(A, Pi, zero)
     p = AP.shape[0]
-    zero = AP[0, 0] * 0.0
     return poly_antisymmetric(
-        p, (_poly_dot(AP[a], A[c]) for a in range(p)
+        p, (poly_dot(AP[a], A[c], zero) for a in range(p)
             for c in range(a + 1, p)), zero)
-
-
-def poly_mat_from_constant(M, n_vars, max_degree):
-    M = np.asarray(M, dtype=float)
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            out[i, j] = TruncatedPoly.constant(M[i, j], n_vars, max_degree)
-    return out
 
 
 def poly_mat_neumann_inverse(Cpoly, max_degree):
@@ -326,36 +310,33 @@ def poly_mat_neumann_inverse(Cpoly, max_degree):
 
         C(u)^-1 = C0^-1 sum_m (-(C(u) - C0) C0^-1)^m,
 
-    terms dropped once their minimum degree exceeds the truncation.
+    terms dropped once their minimum degree exceeds the truncation.  The
+    constant matrices C0^-1 and I enter the products as reals.
     """
     Cpoly = np.asarray(Cpoly, dtype=object)
     k = Cpoly.shape[0]
     n_vars = Cpoly[0, 0].n_vars
+    zero = TruncatedPoly.zero(n_vars, max_degree)
     C0 = np.array([[Cpoly[i, j].coefficient((0,) * n_vars)
                     for j in range(k)] for i in range(k)])
     if abs(np.linalg.det(C0)) < 1e-300 or np.linalg.cond(C0) > 1e12:
         raise ValueError("constant part of the constraint matrix is singular")
     C0inv = np.linalg.inv(C0)
-    E = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            E[i, j] = Cpoly[i, j] - float(C0[i, j])
-    C0inv_p = poly_mat_from_constant(C0inv, n_vars, max_degree)
-    minusEC0inv = poly_mat_mul(E, C0inv_p)
-    for i in range(k):
-        for j in range(k):
-            minusEC0inv[i, j] = -minusEC0inv[i, j]
-    total = poly_mat_from_constant(np.eye(k), n_vars, max_degree)
-    power = poly_mat_from_constant(np.eye(k), n_vars, max_degree)
+    E = [[Cpoly[i, j] - float(C0[i, j]) for j in range(k)] for i in range(k)]
+    minusEC0inv = poly_mat_mul(E, -C0inv, zero)
+    powers, power = [], np.eye(k)
     for _ in range(max_degree):
-        power = poly_mat_mul(power, minusEC0inv)
+        power = poly_mat_mul(power, minusEC0inv, zero)
         if all(power[i, j].is_zero() for i in range(k) for j in range(k)):
             break
-        for i in range(k):
-            for j in range(k):
-                total[i, j] = total[i, j] + power[i, j]
-    return poly_mat_mul(poly_mat_from_constant(C0inv, n_vars, max_degree),
-                        total)
+        powers.append(power)
+    # I + sum of the powers; the identity entry leads each sum
+    ones = [1.0] * (len(powers) + 1)
+    total = [[poly_dot(ones, [TruncatedPoly.constant(float(i == j), n_vars,
+                                                     max_degree)]
+                       + [P[i, j] for P in powers], zero)
+              for j in range(k)] for i in range(k)]
+    return poly_mat_mul(C0inv, total, zero)
 
 
 def poly_gradient_fields(polys):
@@ -379,9 +360,11 @@ def poly_constraint_matrix(X):
     X_i[:m]); built on the upper triangle and mirrored."""
     k, n = X.shape
     m = n // 2
-    upper = (_poly_dot(X[i, :m], X[j, m:]) - _poly_dot(X[i, m:], X[j, :m])
+    zero = X[0, 0] * 0.0
+    upper = (poly_dot(X[i, :m], X[j, m:], zero)
+             - poly_dot(X[i, m:], X[j, :m], zero)
              for i in range(k) for j in range(i + 1, k))
-    return poly_antisymmetric(k, upper, X[0, 0] * 0.0)
+    return poly_antisymmetric(k, upper, zero)
 
 
 def dirac_structure_series(cs: ConstraintSet, x0, K: int) -> StructuredStructure:
@@ -399,7 +382,7 @@ def dirac_structure_series(cs: ConstraintSet, x0, K: int) -> StructuredStructure
     ctx.require_second_class()
     X = poly_gradient_fields(cs.centered_polys(x0, max_degree=K))
     Cinv = poly_mat_neumann_inverse(poly_constraint_matrix(X), K)
-    Pi = poly_congruence(X.T, Cinv)
+    Pi = poly_congruence(X.T, Cinv, TruncatedPoly.zero(cs.dim, K))
     m = cs.dim // 2
     for a in range(m):
         Pi[a, m + a] = Pi[a, m + a] + 1.0

@@ -137,12 +137,15 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
     return Trajectory(times=times, states=states, diagnostics=diag)
 
 
-def conserved_monitor(traj: Trajectory, fns: dict) -> dict:
-    """Max drift |f(x(t)) - f(x(0))| over the trajectory, per function."""
+def conserved_monitor(traj: Trajectory, names) -> dict:
+    """Max drift |f(x(t)) - f(x(0))| over the trajectory, per named
+    monitor, read from the values ``integrate`` recorded in
+    ``traj.diagnostics``."""
     out = {}
-    for nm, g in fns.items():
-        g = _as_callable(g)
-        vals = np.array([g(x) for x in traj.states])
+    for nm in names:
+        if nm not in traj.diagnostics:
+            raise ValueError("monitor %r was not recorded" % nm)
+        vals = traj.diagnostics[nm]
         out[nm] = float(np.max(np.abs(vals - vals[0])))
     return out
 

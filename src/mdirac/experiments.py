@@ -31,8 +31,9 @@ from .poly import (
     CanonicalStructure,
     TruncatedPoly,
     poisson_bracket,
+    poly_dot,
 )
-from .smooth import SmoothMap, hamiltonian_vector_field
+from .smooth import SmoothMap, central_difference, hamiltonian_vector_field
 from .dirac import (
     ConstraintSet,
     DiracContext,
@@ -141,8 +142,10 @@ class Experiment:
 
     ``model`` and ``numerics`` map each key to (kind, default), None for
     a spin selector the case leaves unset; ``rules`` holds the cross-key
-    rules as (text, check(cfg)) pairs.  ``runner(cfg, checks)`` only
-    computes: it fills the CheckSet, returns (report extras, artifacts).
+    rules as (text, check(cfg)) pairs; ``checks`` maps every check the
+    runner may record to its kind (see :func:`_checks`).
+    ``runner(cfg, checks)`` only computes: it fills the CheckSet, returns
+    (report extras, artifacts).
     """
 
     runner: Callable
@@ -150,16 +153,26 @@ class Experiment:
     model: dict
     numerics: dict
     rules: tuple
+    checks: dict
 
     def schema(self) -> dict:
-        """JSON-ready keys, defaults, kinds and rules of the config."""
+        """JSON-ready keys, defaults, kinds, rules and check names."""
         def table(spec):
             return {k: {"kind": kind.name, "default": d}
                     for k, (kind, d) in spec.items()}
         num = dict(table(self.numerics), tolerances={
-            "kind": "check name -> " + TOLERANCE.name, "default": {}})
+            "kind": "max or min check name -> " + TOLERANCE.name,
+            "default": {}})
         return {"description": self.description, "model": table(self.model),
-                "numerics": num, "rules": [text for text, _ in self.rules]}
+                "numerics": num, "rules": [text for text, _ in self.rules],
+                "checks": self.checks}
+
+
+def _checks(words: str) -> dict:
+    """Check name -> kind from space-separated ``name[:kind]`` words: "max"
+    (the default) for a ``bound``, "min" for an ``exceeds`` (negative
+    control), "flag" for a boolean outcome."""
+    return dict((w.split(":") + ["max"])[:2] for w in words.split())
 
 
 def _overlay(section: str, given: dict, spec: dict, experiment: str) -> dict:
@@ -177,8 +190,9 @@ class ExperimentConfig:
     """Run request, checked once against its registry record when built:
     unknown keys, value kinds and cross-key rules raise ConfigError.
     ``params`` and ``num`` hold the given model and numerics values over
-    the record's defaults.  (Tolerance overrides are checked when
-    ``run_experiment`` builds the CheckSet, still before the runner.)
+    the record's defaults.  (Tolerance overrides are checked against the
+    record's check names when ``run_experiment`` builds the CheckSet,
+    still before the runner.)
     """
 
     experiment: str
@@ -239,52 +253,54 @@ def _one_spin(cfg):
 
 
 class CheckSet:
-    """Accumulates named pass/fail checks with override-able tolerances.
+    """Accumulates the named pass/fail checks of one experiment.
 
-    ``bound`` passes when value < tol, ``exceeds`` when value > floor
-    (negative controls), ``flag`` records a boolean outcome.  Each
-    override (``numerics.tolerances``) must be a positive real; one that
-    never matches a check name is a typo and raises at ``finalize``.
+    ``names`` maps each check the experiment may record to its kind:
+    ``bound`` ("max") passes when value < tol, ``exceeds`` ("min") when
+    value > floor (negative controls), ``flag`` records a boolean
+    outcome.  Each override (``numerics.tolerances``) must be a positive
+    real keyed by a max or min check name; anything else is refused with
+    ConfigError when the set is built.  Recording a check that is not
+    listed under its kind raises ValueError.
     """
 
-    def __init__(self, overrides: dict):
+    def __init__(self, names: dict, overrides: dict):
         OBJECT.check("tolerances", overrides)
+        self.names = names
         self.table = {}
         self._over = {nm: TOLERANCE.check("tolerance %r" % nm, tol)
                       for nm, tol in overrides.items()}
-        self._used = set()
+        unmatched = sorted(nm for nm in self._over
+                           if names.get(nm) not in ("max", "min"))
+        if unmatched:
+            raise ConfigError("tolerance overrides match no check: %s"
+                              % ", ".join(unmatched))
 
-    def _tol(self, name, default):
-        if name in self._over:
-            self._used.add(name)
-            return self._over[name]
-        return default
+    def _record(self, name, entry):
+        if self.names.get(name) != entry["kind"]:
+            raise ValueError("check %r is not listed as a %s check"
+                             % (name, entry["kind"]))
+        self.table[name] = entry
 
     def bound(self, name, value, tol):
-        tol = self._tol(name, tol)
-        self.table[name] = {"value": float(value), "tol": float(tol),
-                            "kind": "max", "passed": bool(value < tol)}
+        tol = self._over.get(name, tol)
+        self._record(name, {"value": float(value), "tol": float(tol),
+                            "kind": "max", "passed": bool(value < tol)})
 
     def exceeds(self, name, value, floor):
-        floor = self._tol(name, floor)
-        self.table[name] = {"value": float(value), "tol": float(floor),
-                            "kind": "min", "passed": bool(value > floor)}
+        floor = self._over.get(name, floor)
+        self._record(name, {"value": float(value), "tol": float(floor),
+                            "kind": "min", "passed": bool(value > floor)})
 
     def flag(self, name, ok, detail=None):
         entry = {"kind": "flag", "passed": bool(ok)}
         if detail is not None:
             entry["detail"] = detail
-        self.table[name] = entry
+        self._record(name, entry)
 
     @property
     def passed(self) -> bool:
         return all(c["passed"] for c in self.table.values())
-
-    def finalize(self):
-        unused = sorted(set(self._over) - self._used)
-        if unused:
-            raise ConfigError("tolerance overrides match no check: %s"
-                              % ", ".join(unused))
 
 
 def to_jsonable(obj):
@@ -409,16 +425,11 @@ def _axiom_residuals(cs, probes, fs):
 
 def _sphere_pair_constraints() -> ConstraintSet:
     """|q|^2 - 1 and q . p on R^6, truncated at DEFAULT_MAX_DEGREE."""
-    n, m, K = 6, 3, DEFAULT_MAX_DEGREE
-    g1 = TruncatedPoly.zero(n, K)
-    g2 = TruncatedPoly.zero(n, K)
-    for a in range(m):
-        qa = TruncatedPoly.variable(a, n, K)
-        pa = TruncatedPoly.variable(m + a, n, K)
-        g1 = g1 + qa * qa
-        g2 = g2 + qa * pa
-    return ConstraintSet.from_polys([g1 - 1.0, g2],
-                                    names=["sphere", "radial"])
+    x = [TruncatedPoly.variable(i, 6, DEFAULT_MAX_DEGREE) for i in range(6)]
+    zero = TruncatedPoly.zero(6, DEFAULT_MAX_DEGREE)
+    return ConstraintSet.from_polys(
+        [poly_dot(x[:3], x[:3], zero) - 1.0, poly_dot(x[:3], x[3:], zero)],
+        names=["sphere", "radial"])
 
 
 def _coord(i, n):
@@ -594,7 +605,7 @@ def _run_dsp_flow(cfg: ExperimentConfig, checks: CheckSet):
                      method="projected_rk4", constraints=base,
                      monitors={"J": momentum, "H": energy,
                                "phi": residual})
-    drift = conserved_monitor(traj, {"J": momentum, "H": energy})
+    drift = conserved_monitor(traj, ("J", "H"))
     checks.bound("momentum_drift", drift["J"], 1e-8)
     checks.bound("energy_drift", drift["H"], 1e-8)
     checks.bound("constraint_residual",
@@ -655,8 +666,7 @@ def _run_neumann_flow(cfg: ExperimentConfig, checks: CheckSet):
     traj = integrate(XD, x_ref, T=num["T"], dt=num["dt"],
                      method="projected_rk4", constraints=fast,
                      monitors={"H": energy, "phi": residual})
-    checks.bound("energy_drift", conserved_monitor(traj, {"H": energy})["H"],
-                 1e-8)
+    checks.bound("energy_drift", conserved_monitor(traj, ["H"])["H"], 1e-8)
     checks.bound("constraint_residual",
                  float(np.max(traj.diagnostics["phi"])), 1e-10)
     return {"n_probes": num["n_probes"]}, {"neumann_flow.csv": _thin(traj)}
@@ -693,8 +703,9 @@ def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
     mode = lambda i: (lambda x: float(
         0.5 * (w2[i] * x[i] ** 2 + x[3 + i] ** 2)))
     traj = integrate(XD, x0, T=num["T"], dt=num["dt"],
-                     method="projected_rk4", constraints=fast)
-    drift = conserved_monitor(traj, {"E1": mode(0), "E2": mode(1)})
+                     method="projected_rk4", constraints=fast,
+                     monitors={"E1": mode(0), "E2": mode(1)})
+    drift = conserved_monitor(traj, ("E1", "E2"))
     checks.bound("flow_drift", max(drift.values()), 1e-8)
 
     # flow residual of the integrals against the Dirac bracket, and the
@@ -777,13 +788,8 @@ def _run_oscillator_bnf(cfg: ExperimentConfig, checks: CheckSet):
 
 def _fd_gradient(fn, x):
     """Central-difference gradient, step 1e-6."""
-    h = 1e-6
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (fn.value(x + e) - fn.value(x - e)) / (2.0 * h)
-    return g
+    return np.array([central_difference(fn.value, x, e, 1e-6)
+                     for e in np.eye(x.size)])
 
 
 def _run_hygiene(cfg: ExperimentConfig, checks: CheckSet):
@@ -857,8 +863,15 @@ def _in_domain(case_id: int):
 
 def _dsp_case(case_id: int, description: str, model: dict):
     rules = (_ONE_SPIN, _at_least("chart_degree", "K"))
+    checks = ("drift_free:flag drift_residual hessian_cross_block "
+              "stationarity intertwining field_agreement "
+              "field_negative_control:min ")
+    checks += ("normal_form_completed:flag eta_distance resonant_distance "
+               "commutation_chart commutation_dirac symplectic_defect"
+               if case_id == 2 else "normal_form_refused:flag")
     if case_id in _CASE_BOUNDS:
         rules += (_in_domain(case_id),)
+        checks += " bound_rejects_violation:flag bound_allows_equality:flag"
     return Experiment(
         lambda cfg, checks: _run_dsp_case(cfg, checks, case_id), description,
         model, {"K": (_count(3), 4), "chart_degree": (COUNT, 5),
@@ -866,7 +879,7 @@ def _dsp_case(case_id: int, description: str, model: dict):
                 "drift_radius": (POSITIVE, 5e-5),
                 "twin_radius": (POSITIVE, 1e-5),
                 "field_radius": (POSITIVE, 1e-5), "tilt": (REAL, 0.05)},
-        rules)
+        rules, _checks(checks))
 
 
 EXPERIMENTS = {
@@ -875,7 +888,10 @@ EXPERIMENTS = {
         "Dirac bracket axioms on the sphere pair and the pendulum slice "
         "set, plus the closed-form sphere brackets",
         {}, {"n_probes": (COUNT, 200), "n_functions": (COUNT, 5),
-             "dsp_radius": (POSITIVE, 1e-2)}, ()),
+             "dsp_radius": (POSITIVE, 1e-2)}, (),
+        _checks("sphere_antisymmetry sphere_annihilation sphere_tangency "
+                "closed_form_qp closed_form_pp closed_form_qq "
+                "dsp_antisymmetry dsp_annihilation dsp_tangency")),
     "dsp_case2": _dsp_case(
         2, "Double spherical pendulum, both links horizontal: drift-free "
         "slice, order-4 normal form on two bracket paths, field twin",
@@ -894,7 +910,9 @@ EXPERIMENTS = {
         _run_dsp_static_negative,
         "Hanging equilibrium: slice construction must refuse the fixed "
         "point of the rotation action",
-        _pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=1.0), {}, ()),
+        _pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=1.0), {}, (),
+        _checks("static_momentum_zero:flag marked_singular:flag stationarity "
+                "slice_refused_fixed_point:flag static_rejects_spin:flag")),
     "dsp_flow": Experiment(
         _run_dsp_flow,
         "Projected pendulum integration (momentum and constraint "
@@ -902,7 +920,9 @@ EXPERIMENTS = {
         _CASE2, {"T_project": (POSITIVE, 50.0), "T_compare": (POSITIVE, 10.0),
                  "dt": (POSITIVE, 1e-3), "start_radius": (POSITIVE, 2e-5)},
         (_ONE_SPIN, _at_least("T_project", "dt"),
-         _at_least("T_compare", "dt"))),
+         _at_least("T_compare", "dt")),
+        _checks("momentum_drift energy_drift constraint_residual "
+                "flow_divergence")),
     "neumann_flow": Experiment(
         _run_neumann_flow,
         "Neumann oscillator on the sphere: multiplier field identity "
@@ -910,7 +930,8 @@ EXPERIMENTS = {
         {"A": (REAL3, [1.0, 2.0, 4.0])},
         {"n_probes": (COUNT, 100), "T": (POSITIVE, 100.0),
          "dt": (POSITIVE, 1e-3), "probe_radius": (POSITIVE, 0.4)},
-        (_at_least("T", "dt"),)),
+        (_at_least("T", "dt"),),
+        _checks("moser_vs_dirac energy_drift constraint_residual")),
     "moser_separable": Experiment(
         _run_moser_separable,
         "Separable constrained oscillator: canonical pair filter, "
@@ -919,23 +940,32 @@ EXPERIMENTS = {
         {"n_probes": (COUNT, 20), "T": (POSITIVE, 100.0),
          "dt": (POSITIVE, 1e-3), "probe_radius": (POSITIVE, 0.3),
          "eps": (REALS, [0.0, 1e-3, 1e-2])},
-        (_at_least("T", "dt"),)),
+        (_at_least("T", "dt"),),
+        _checks("canonical_defect integral_residuals broken_pair_refused:flag "
+                "flow_drift bracket_identity")),
     "ks_diagnostic": Experiment(
         _run_ks_diagnostic,
         "Bilinear quaternion constraint: singular level at the origin, "
         "phase invariance, Hopf map identities",
-        {}, {"n_points": (COUNT, 50)}, ()),
+        {}, {"n_points": (COUNT, 50)}, (),
+        _checks("origin_not_regular:flag origin_rank_zero:flag "
+                "regular_point_clean:flag bl_phase_invariance "
+                "hopf_phase_invariance hopf_norm_identity "
+                "hopf_first_component_zero:flag")),
     "oscillator_bnf": Experiment(
         _run_oscillator_bnf,
         "Quartic oscillator normal form against the circle-average "
         "oracle",
-        {"beta": (REAL, 1.0)}, {"K": (_count(4), 4)}, ()),
+        {"beta": (REAL, 1.0)}, {"K": (_count(4), 4)}, (),
+        _checks("resonant_quartic_coefficient cubic_resonant_terms "
+                "commutation conjugation_defect symplectic_defect")),
     "hygiene": Experiment(
         _run_hygiene,
         "Finite-difference gradient audit and the polynomial Jacobi "
         "identity",
         {}, {"n_points": (COUNT, 100), "n_triples": (COUNT, 6),
-             "scale": (POSITIVE, 0.7)}, ()),
+             "scale": (POSITIVE, 0.7)}, (),
+        _checks("gradient_max_rel_err jacobi_defect")),
 }
 
 
@@ -946,14 +976,14 @@ def list_experiments() -> list:
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Run a validated config: build the CheckSet from its tolerance
-    overrides (refusing bad ones before the runner starts), run the
-    experiment, and assemble the report.  Returns (report, artifacts)
-    where artifacts maps file names to Trajectory or JSON-ready dict
-    values."""
-    checks = CheckSet(cfg.numerics.get("tolerances", {}))
-    extra, artifacts = EXPERIMENTS[cfg.experiment].runner(cfg, checks)
-    checks.finalize()
+    """Run a validated config: build the CheckSet from the record's check
+    names and the tolerance overrides (refusing bad ones before the
+    runner starts), run the experiment, and assemble the report.
+    Returns (report, artifacts) where artifacts maps file names to
+    Trajectory or JSON-ready dict values."""
+    rec = EXPERIMENTS[cfg.experiment]
+    checks = CheckSet(rec.checks, cfg.numerics.get("tolerances", {}))
+    extra, artifacts = rec.runner(cfg, checks)
     report = {"experiment": cfg.experiment, "seed": cfg.seed,
               "checks": checks.table, "passed": checks.passed}
     report.update(extra)

@@ -31,6 +31,7 @@ from .poly import (
     DEFAULT_MAX_DEGREE,
     TruncatedPoly,
     compose_batch,
+    poly_dot,
 )
 from .smooth import SmoothMap, canonical_bracket_value
 from .symmetry import (
@@ -508,12 +509,13 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
     # chart, flattening, and the two normalization paths
     if normal_form:
         try:
-            frame = darboux_frame(slc)
-            chart = chart_series(slc, frame, K=chart_degree)
+            level = slc.full_constraints
+            frame = darboux_frame(level, slc.x0)
+            chart = chart_series(level, frame, K=chart_degree)
             flat = darboux_flatten(chart)
             Hc = compose_batch([H_om], flat.ambient_polys())[0].truncated(K)
             nf_chart = run_normal_form_report(Hc, CanonicalStructure(3), K=K)
-            pi = dirac_chart_structure(slc, flat, max_degree=K)
+            pi = dirac_chart_structure(level, flat, max_degree=K)
             nf_dirac = run_normal_form_report(Hc, pi, K=K)
         except (ValueError, RuntimeError) as err:
             out["normal_form_error"] = str(err)
@@ -606,12 +608,9 @@ def neumann_model(A) -> MoserModel:
     Sq = np.zeros((2 * n, 2 * n))
     Sq[:n, :n] = np.eye(n)
     G1 = TruncatedPoly.from_quadratic_form(Sq, DEFAULT_MAX_DEGREE) - 0.5
-    F1 = TruncatedPoly.zero(2 * n, DEFAULT_MAX_DEGREE)
-    for i in range(n):
-        exp = [0] * (2 * n)
-        exp[i] = 1
-        exp[n + i] = 1
-        F1 = F1 + TruncatedPoly.monomial(exp, 1.0, DEFAULT_MAX_DEGREE)
+    x = [TruncatedPoly.variable(i, 2 * n, DEFAULT_MAX_DEGREE)
+         for i in range(2 * n)]
+    F1 = poly_dot(x[:n], x[n:], TruncatedPoly.zero(2 * n, DEFAULT_MAX_DEGREE))
     return MoserModel(
         name="neumann", H=SmoothMap.from_poly(H_poly, name="H_neumann"),
         H_poly=H_poly, G_polys=[G1], F_polys=[F1],

@@ -373,15 +373,13 @@ class CanonicalStructure(PoissonStructure):
         if f.n_vars != self.n_vars or g.n_vars != self.n_vars:
             raise ValueError("polynomial variable count does not match structure")
         m = self.n_pairs
-        out = TruncatedPoly.zero(self.n_vars, min(f.max_degree, g.max_degree))
+        df, dg = [], []
         for i in range(m):
-            fq, fp = f.derivative(i), f.derivative(m + i)
-            gq, gp = g.derivative(i), g.derivative(m + i)
-            if not (fq.is_zero() or gp.is_zero()):
-                out = out + fq * gp
-            if not (fp.is_zero() or gq.is_zero()):
-                out = out - fp * gq
-        return out
+            # fq gp - fp gq, as fq gp + fp (-gq)
+            df += [f.derivative(i), f.derivative(m + i)]
+            dg += [g.derivative(m + i), -g.derivative(i)]
+        return poly_dot(df, dg, TruncatedPoly.zero(
+            self.n_vars, min(f.max_degree, g.max_degree)))
 
 
 class StructuredStructure(PoissonStructure):
@@ -408,20 +406,15 @@ class StructuredStructure(PoissonStructure):
     def bracket(self, f, g):
         if f.n_vars != self.n_vars or g.n_vars != self.n_vars:
             raise ValueError("polynomial variable count does not match structure")
-        out = TruncatedPoly.zero(self.n_vars, min(f.max_degree, g.max_degree))
-        df = [f.derivative(a) for a in range(self.n_vars)]
-        dg = [g.derivative(b) for b in range(self.n_vars)]
-        for a in range(self.n_vars):
-            if df[a].is_zero():
-                continue
-            for b in range(self.n_vars):
-                if dg[b].is_zero():
-                    continue
-                p = self.pi[a, b]
-                if p.is_zero():
-                    continue
-                out = out + p * df[a] * dg[b]
-        return out
+        n = self.n_vars
+        df = [f.derivative(a) for a in range(n)]
+        dg = [g.derivative(b) for b in range(n)]
+        pairs = [(a, b) for a in range(n) if not df[a].is_zero()
+                 for b in range(n) if not (dg[b].is_zero()
+                                           or self.pi[a, b].is_zero())]
+        return poly_dot((self.pi[a, b] * df[a] for a, b in pairs),
+                        (dg[b] for _, b in pairs),
+                        TruncatedPoly.zero(n, min(f.max_degree, g.max_degree)))
 
     @classmethod
     def from_constant_matrix(cls, J, n_vars: int, max_degree: int):
@@ -442,6 +435,28 @@ def poisson_bracket(f: TruncatedPoly, g: TruncatedPoly,
                     ps: PoissonStructure) -> TruncatedPoly:
     """Poisson bracket {f, g} under the given structure."""
     return ps.bracket(f, g)
+
+
+def _vanishes(x) -> bool:
+    return x.is_zero() if isinstance(x, TruncatedPoly) else x == 0.0
+
+
+def poly_dot(u, v, zero):
+    """sum_s u[s] v[s] over paired entries, each a TruncatedPoly or a real.
+
+    Pairs with a zero factor are skipped; ``zero`` is returned when no
+    pair is left.  The sum is accumulated pairwise, acc + u[s] v[s], in
+    the order of the pairs: term insertion order decides the summation
+    order of later products, so callers keep their operand order.  This
+    is the one accumulation of polynomial sums of products.
+    """
+    acc = None
+    for x, y in zip(u, v):
+        if _vanishes(x) or _vanishes(y):
+            continue
+        t = x * y
+        acc = t if acc is None else acc + t
+    return zero if acc is None else acc
 
 
 def compose_batch(polys, args):
@@ -481,12 +496,12 @@ def compose_batch(polys, args):
         cache[exp] = hit
         return hit
 
+    zero = TruncatedPoly.zero(n_out, cap)
     out = []
     for p in polys:
-        acc = TruncatedPoly.zero(n_out, cap)
-        for exp, c in sorted(p.terms.items(), key=_graded_key_kv):
-            acc = acc + c * monomial_image(exp)
-        out.append(acc)
+        items = sorted(p.terms.items(), key=_graded_key_kv)
+        out.append(poly_dot((c for _, c in items),
+                            (monomial_image(e) for e, _ in items), zero))
     return out
 
 

@@ -161,17 +161,22 @@ class SmoothMap:
         return m
 
 
+def central_difference(f, x, v, h):
+    """(f(x + h v) - f(x - h v)) / (2 h), the central difference of f at
+    x along v with step h; ValueError when either value is not finite."""
+    fp, fm = f(x + h * v), f(x - h * v)
+    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        raise ValueError("non-finite evaluation near x")
+    return (fp - fm) / (2 * h)
+
+
 def _fd_of_jacobian(m: SmoothMap, x: np.ndarray) -> np.ndarray:
     """Hessian stack by central differencing of the analytic Jacobian."""
     n = m.domain_dim
     h = 1e-4 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     H = np.empty((m.codomain_dim, n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        Jp = m.jacobian(x + e)
-        Jm = m.jacobian(x - e)
-        H[:, :, j] = (Jp - Jm) / (2 * h)
+    for j, e in enumerate(np.eye(n)):
+        H[:, :, j] = central_difference(m.jacobian, x, e, h)
     return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
@@ -193,13 +198,8 @@ def fd_jet(m: SmoothMap, x, order: int = 1):
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     h1 = 1e-5 * scale
     J = np.empty((m.codomain_dim, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h1
-        fp, fm = vec(x + e), vec(x - e)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise ValueError("non-finite evaluation near x")
-        J[:, i] = (fp - fm) / (2 * h1)
+    for i, e in enumerate(np.eye(n)):
+        J[:, i] = central_difference(vec, x, e, h1)
     if order == 1:
         return J
 

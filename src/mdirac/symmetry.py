@@ -31,7 +31,12 @@ from .dirac import (
     probe_list,
 )
 from .poly import TruncatedPoly, DEFAULT_MAX_DEGREE
-from .smooth import SmoothMap, canonical_J, canonical_bracket_value
+from .smooth import (
+    SmoothMap,
+    canonical_J,
+    canonical_bracket_value,
+    central_difference,
+)
 
 TAU_DRIFT = 1e-7
 TAU_STAT = 1e-8
@@ -316,14 +321,9 @@ def check_drift_free(F: SmoothMap, slc: SliceModel, probes) -> dict:
     _, sv, Vt = scipy.linalg.svd(G, full_matrices=True)
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
     kernel = Vt[rank:].T
-    h = 1e-5
-    cross = np.zeros((len(slc.Upsilon), kernel.shape[1]))
-    for j, u in enumerate(slc.Upsilon):
-        for a in range(kernel.shape[1]):
-            v = kernel[:, a]
-            gp = slc.m_bracket(u, F, slc.x0 + h * v)
-            gm = slc.m_bracket(u, F, slc.x0 - h * v)
-            cross[j, a] = (gp - gm) / (2 * h)
+    cross = np.array([[central_difference(lambda x: slc.m_bracket(u, F, x),
+                                          slc.x0, v, 1e-5)
+                       for v in kernel.T] for u in slc.Upsilon])
     cross_norm = float(np.max(np.abs(cross))) if cross.size else 0.0
     return {
         "max_residual": float(max_res),
@@ -358,13 +358,10 @@ def stationarity_test(li: LockedInertia, q0, slice_dirs) -> dict:
     the configuration slice directions (central differences, step 1e-6);
     stationary iff all below TAU_STAT."""
     q0 = np.asarray(q0, dtype=float)
-    h = 1e-6
     worst = 0.0
     for d in slice_dirs:
-        d = np.asarray(d, dtype=float)
-        Ip = li.value(q0 + h * d)
-        Im = li.value(q0 - h * d)
-        deriv = (Ip - Im) / (2 * h)
+        deriv = central_difference(li.value, q0,
+                                   np.asarray(d, dtype=float), 1e-6)
         worst = max(worst, float(np.max(np.abs(deriv))))
     return {
         "max_directional_derivative": worst,

@@ -390,9 +390,8 @@ def test_criterion_09_separable_moser():
     mode = lambda i: (lambda x: float(
         0.5 * (w2[i] * x[i] ** 2 + x[3 + i] ** 2)))
     traj = integrate(XD, x0, T=100.0, dt=1e-3, method="projected_rk4",
-                     constraints=fast)
-    drift = max(conserved_monitor(
-        traj, {"E1": mode(0), "E2": mode(1)}).values())
+                     constraints=fast, monitors={"E1": mode(0), "E2": mode(1)})
+    drift = max(conserved_monitor(traj, ("E1", "E2")).values())
 
     fns = {nm: SmoothMap.from_poly(pp, name=nm)
            for nm, pp in zip(model.residual_names, model.residual_polys)}

@@ -9,6 +9,7 @@ import pytest
 from mdirac.cli import main
 from mdirac.experiments import (
     EXPERIMENTS,
+    CheckSet,
     ConfigError,
     ExperimentConfig,
     list_experiments,
@@ -89,6 +90,18 @@ def test_unmatched_tolerance_override_rejected():
                            numerics={"tolerances": {"no_such_check": 1e-3}})
     with pytest.raises(ConfigError, match="match no check"):
         run_experiment(cfg)
+
+
+def test_checkset_refuses_unlisted_checks():
+    names = EXPERIMENTS["ks_diagnostic"].checks
+    with pytest.raises(ConfigError, match="match no check"):
+        CheckSet(names, {"origin_not_regular": 1e-3})  # a flag has no tol
+    checks = CheckSet(names, {})
+    with pytest.raises(ValueError, match="not listed"):
+        checks.bound("no_such_check", 0.0, 1.0)
+    with pytest.raises(ValueError, match="not listed"):
+        checks.bound("origin_not_regular", 0.0, 1.0)
+    assert checks.table == {}
 
 
 def test_tolerance_override_flips_outcome():
@@ -228,6 +241,8 @@ _REFUSED = [
     ("neumann_flow", {"numerics": {"T": 1e-4}}, "at least dt"),
     ("dsp_case2", {"numerics": {"chart_degree": 3}}, "at least K"),
     ("neumann_flow", {"numerics": {"dt": 10 ** 400}}, "numerics key 'dt'"),
+    ("dsp_case2", {"numerics": {"tolerances": {"no_such_check": 1e-3}}},
+     "match no check"),
 ]
 
 
@@ -280,6 +295,11 @@ def test_cli_list_json_schema(capsys):
     assert case2["model"]["mu"] == {"kind": "finite real", "default": None}
     assert "chart_degree >= K" in case2["rules"]
     assert rows["neumann_flow"]["rules"] == ["T >= dt"]
+    assert case2["checks"]["field_negative_control"] == "min"
+    assert case2["checks"]["normal_form_completed"] == "flag"
+    assert "normal_form_refused" in rows["dsp_case3"]["checks"]
+    assert rows["hygiene"]["checks"] == {"gradient_max_rel_err": "max",
+                                         "jacobi_defect": "max"}
 
 
 def test_cli_writes_nf_artifact(tmp_path):

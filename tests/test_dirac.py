@@ -352,8 +352,8 @@ def test_moser_commuting_hamiltonian_zero_multipliers():
 
 def test_neumann_inverse_of_constant_matrix():
     C = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    from mdirac.dirac import poly_mat_from_constant
-    Cp = poly_mat_from_constant(C, 4, 4)
+    Cp = np.array([[TruncatedPoly.constant(v, 4, 4) for v in row]
+                   for row in C], dtype=object)
     Cinv = poly_mat_neumann_inverse(Cp, 4)
     for i in range(2):
         for j in range(2):
@@ -382,7 +382,7 @@ def test_neumann_inverse_polynomial_identity():
                 acc = t if acc is None else acc + t
             Cpoly[i, j] = acc
     Cinv = poly_mat_neumann_inverse(Cpoly, 4)
-    prod = poly_mat_mul(Cpoly, Cinv)
+    prod = poly_mat_mul(Cpoly, Cinv, TruncatedPoly.zero(6, 4))
     for i in range(2):
         for j in range(2):
             want = 1.0 if i == j else 0.0
@@ -407,7 +407,8 @@ def test_poly_congruence_matches_explicit_sum():
         for j in range(i + 1, 4):
             Pi[i, j] = rand(2)
             Pi[j, i] = -Pi[i, j]
-    out = poly_congruence(A, Pi)
+    zero = TruncatedPoly.zero(3, 6)
+    out = poly_congruence(A, Pi, zero)
     assert out.shape == (3, 3)
     for a in range(3):
         for c in range(3):
@@ -422,7 +423,7 @@ def test_poly_congruence_matches_explicit_sum():
     T = rng.standard_normal((2, 4))
     const = np.array([[TruncatedPoly.constant(v, 3, 6) for v in row]
                       for row in T], dtype=object)
-    got, want = poly_congruence(T, Pi), poly_congruence(const, Pi)
+    got, want = poly_congruence(T, Pi, zero), poly_congruence(const, Pi, zero)
     for a in range(2):
         for c in range(2):
             assert coeff_distance(got[a, c], want[a, c]) < 1e-12

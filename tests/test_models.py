@@ -54,8 +54,8 @@ def slice_h2_matrix(p, re):
     _, H_poly = dsp_hamiltonian(p)
     J_poly = dsp_action().momentum_polys()[0]
     H_om = H_poly - re.Omega * J_poly
-    frame = darboux_frame(slc)
-    flat = darboux_flatten(chart_series(slc, frame, K=2))
+    frame = darboux_frame(slc.full_constraints, slc.x0)
+    flat = darboux_flatten(chart_series(slc.full_constraints, frame, K=2))
     Hc = compose_batch([H_om], flat.ambient_polys())[0].truncated(2)
     return quadratic_matrix(Hc.homogeneous_part(2))
 

@@ -13,6 +13,7 @@ from mdirac.poly import (
     coeff_distance,
     lie_transform,
     poisson_bracket,
+    poly_dot,
 )
 
 
@@ -401,3 +402,59 @@ def test_from_quadratic_form():
     x = np.array([0.3, -0.7])
     assert p.eval(x) == pytest.approx(0.5 * x @ S @ x)
     np.testing.assert_allclose(p.gradient(x), S @ x, atol=1e-14)
+
+
+# ----------------------------------------------------------------------
+# poly_dot
+# ----------------------------------------------------------------------
+
+
+def test_poly_dot_equals_pairwise_loop():
+    rng = np.random.default_rng(7)
+    u = [random_poly(rng, 3, 2, 4) for _ in range(5)]
+    v = [random_poly(rng, 3, 2, 4) for _ in range(5)]
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    got = poly_dot(u, v, TruncatedPoly.zero(3, 4))
+    # same terms, same insertion order, same bits
+    assert list(got.terms.items()) == list(acc.terms.items())
+    assert got.max_degree == acc.max_degree
+
+
+def test_poly_dot_reals_on_either_side():
+    rng = np.random.default_rng(8)
+    p = [random_poly(rng, 2, 3, 4) for _ in range(3)]
+    c = [0.5, -2.0, 3.25]
+    zero = TruncatedPoly.zero(2, 4)
+    want = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
+    for got in (poly_dot(c, p, zero), poly_dot(p, c, zero),
+                poly_dot(np.array(c), p, zero)):
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert poly_dot([2.0, 3.0], [4.0, 0.5], zero) == 9.5
+
+
+def test_poly_dot_skips_zero_factors(monkeypatch):
+    rng = np.random.default_rng(9)
+    a, b = random_poly(rng, 2, 2, 4), random_poly(rng, 2, 2, 4)
+    zero = TruncatedPoly.zero(2, 4)
+    products = []
+    mul = TruncatedPoly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedPoly, "__mul__", counted)
+    got = poly_dot([a, zero, 0.0, b], [b, a, a, 2.0], zero)
+    assert products == [(a, b), (b, 2.0)]
+    want = mul(a, b) + mul(b, 2.0)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_poly_dot_empty_returns_zero():
+    zero = TruncatedPoly.zero(2, 4)
+    p = TruncatedPoly.variable(0, 2, 4)
+    assert poly_dot([], [], zero) is zero
+    assert poly_dot([0.0, zero], [p, p], zero) is zero
+    assert poly_dot([p, p], [zero, 0.0], zero) is zero
