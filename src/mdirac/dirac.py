@@ -18,6 +18,8 @@ is one ``poly.poly_dot``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -127,9 +129,10 @@ class DiracContext:
     the class, each evaluated once.
 
     ``cs`` is any object with ``jacobian(x)`` and ``k``: a ConstraintSet
-    or a closed-form stand-in.  Immutable after construction; ``C_inv``
-    is None unless the set is second-class at the point (LU inversion
-    with partial pivoting).
+    or a closed-form stand-in.  ``C_inv`` is None unless the set is
+    second-class at the point (LU inversion with partial pivoting).
+    Immutable after construction except for the gradient cache of
+    :meth:`gradient`, which only grows.
     """
 
     def __init__(self, cs, x):
@@ -139,6 +142,13 @@ class DiracContext:
         if not np.all(np.isfinite(G)):
             raise ValueError("non-finite constraint gradients at x")
         self.G = G
+        # ConstraintSet.jacobian stacks the constraint gradients, so its
+        # rows are their gradients at x bit for bit
+        self._gradients = {}
+        if isinstance(cs, ConstraintSet):
+            for phi, row in zip(cs.constraints, G):
+                row.flags.writeable = False
+                self._gradients[phi] = row
         self.XG = _constraint_fields(G)
         C = G @ self.XG.T                  # C_ij = {phi_i, phi_j}
         skew_defect = np.max(np.abs(C + C.T))
@@ -166,6 +176,15 @@ class DiracContext:
             self.C_inv = scipy.linalg.lu_solve((lu, piv), np.eye(cs.k))
         else:
             self.C_inv = None
+
+    def gradient(self, f: SmoothMap) -> np.ndarray:
+        """f.gradient(x), evaluated once per map object; the array is
+        shared, so it is read-only."""
+        g = self._gradients.get(f)
+        if g is None:
+            g = self._gradients[f] = f.gradient(self.x)
+            g.flags.writeable = False
+        return g
 
     def require_second_class(self):
         if self.classification != SECOND_CLASS:
@@ -197,7 +216,7 @@ def dirac_project(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
     The result is tangent to N: d(phi_k) applied to it vanishes.
     """
     ctx.require_second_class()
-    gf = f.gradient(ctx.x)
+    gf = ctx.gradient(f)
     coef = (ctx.XG @ gf) @ ctx.C_inv           # {f, phi_i} C^ij
     return J_apply(gf) - coef @ ctx.XG
 
@@ -205,8 +224,8 @@ def dirac_project(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
 def dirac_bracket(f: SmoothMap, g: SmoothMap, ctx: DiracContext) -> float:
     """{f, g}_D at ctx.x."""
     ctx.require_second_class()
-    gf = f.gradient(ctx.x)
-    gg = g.gradient(ctx.x)
+    gf = ctx.gradient(f)
+    gg = ctx.gradient(g)
     plain = float(gf @ J_apply(gg))
     bf = ctx.XG @ gf               # {f, phi_i}
     bg = -(ctx.XG @ gg)            # {phi_j, g} = -{g, phi_j}
@@ -220,7 +239,7 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
     coincides with dirac_project(H, ctx).
     """
     ctx.require_second_class()
-    b = ctx.XG @ H.gradient(ctx.x)             # {H, phi_i}
+    b = ctx.XG @ ctx.gradient(H)               # {H, phi_i}
     return scipy.linalg.solve(ctx.C.T, b)
 
 
@@ -416,13 +435,34 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _solve_gram(A, b):
+    """A^-1 b for a Gram matrix A by LAPACK's Cholesky posv, which is
+    scipy.linalg.solve(A, b, assume_a="pos") bit for bit without its
+    per-call overhead.  Its refusals are kept: ValueError on non-finite
+    input, RuntimeError when A is not positive definite, LinAlgWarning
+    when the reciprocal condition number is below machine epsilon."""
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite constraint values or gradients")
+    factor, y, info = scipy.linalg.lapack.dposv(A, b)
+    if info != 0:
+        raise RuntimeError("constraint projection failed: singular "
+                           "gradient Gram matrix")
+    rcond, _ = scipy.linalg.lapack.dpocon(
+        factor, scipy.linalg.lapack.dlange("1", A))
+    if rcond < np.finfo(float).eps:
+        warnings.warn("ill-conditioned gradient Gram matrix (rcond = %g)"
+                      % rcond, scipy.linalg.LinAlgWarning, stacklevel=3)
+    return y
+
+
 def project_to_constraints(cs, x):
     """Newton projection onto {phi = 0} along the constraint gradients:
     solve phi(x + G^T lam) = 0 via (G G^T) lam = -phi.
 
     ``cs`` needs only ``values(x)`` and ``jacobian(x)``.  Raises
-    RuntimeError when the Gram matrix G G^T is singular or the residual
-    does not drop below NEWTON_TOL within NEWTON_MAX_ITER steps.
+    ValueError on non-finite values or gradients, RuntimeError when the
+    Gram matrix G G^T is singular or the residual does not drop below
+    NEWTON_TOL within NEWTON_MAX_ITER steps.
     """
     x = np.array(x, dtype=float)
     for _ in range(NEWTON_MAX_ITER):
@@ -430,12 +470,7 @@ def project_to_constraints(cs, x):
         if np.max(np.abs(r)) < NEWTON_TOL:
             return x
         G = np.asarray(cs.jacobian(x), dtype=float)
-        try:
-            lam = scipy.linalg.solve(G @ G.T, -r, assume_a="pos")
-        except scipy.linalg.LinAlgError as err:
-            raise RuntimeError("constraint projection failed: singular "
-                               "gradient Gram matrix") from err
-        x = x + G.T @ lam
+        x = x + G.T @ _solve_gram(G @ G.T, -r)
     r = np.asarray(cs.values(x), dtype=float)
     if np.max(np.abs(r)) < NEWTON_TOL:
         return x

@@ -406,15 +406,14 @@ def _axiom_residuals(cs, probes, fs):
     antisym = annihil = tangency = 0.0
     for x in probes:
         ctx = DiracContext(cs, x)
-        G = cs.jacobian(x)
         for i, f in enumerate(fs):
             for g in fs[i:]:
                 antisym = max(antisym, abs(dirac_bracket(f, g, ctx)
                                            + dirac_bracket(g, f, ctx)))
             for phi in cs.constraints:
                 annihil = max(annihil, abs(dirac_bracket(phi, f, ctx)))
-            tangency = max(tangency,
-                           float(np.max(np.abs(G @ dirac_project(f, ctx)))))
+            tangency = max(tangency, float(
+                np.max(np.abs(ctx.G @ dirac_project(f, ctx)))))
     return antisym, annihil, tangency
 
 

@@ -257,39 +257,17 @@ class TruncatedPoly:
     # ------------------------------------------------------------------
 
     def eval(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_vars,):
-            raise ValueError("point has wrong length")
-        total = 0.0
-        for exp, c in self.terms.items():
-            m = c
-            for xi, e in zip(x, exp):
-                if e == 1:
-                    m *= xi
-                elif e:
-                    m *= xi ** e
-            total += m
-        return total
+        return _on_floats(_eval_terms, self.terms, self._point(x))
 
     def gradient(self, x) -> np.ndarray:
+        return np.array(_on_floats(_gradient_terms, self.terms,
+                                   self._point(x)))
+
+    def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_vars,):
             raise ValueError("point has wrong length")
-        g = np.zeros(self.n_vars)
-        for exp, c in self.terms.items():
-            # value of each variable power, reused across the n partials
-            for i, ei in enumerate(exp):
-                if ei == 0:
-                    continue
-                m = c * ei
-                for j, (xj, ej) in enumerate(zip(x, exp)):
-                    k = ej - 1 if j == i else ej
-                    if k == 1:
-                        m *= xj
-                    elif k:
-                        m *= xj ** k
-                g[i] += m
-        return g
+        return x
 
     # ------------------------------------------------------------------
     # substitution
@@ -457,6 +435,49 @@ def poly_dot(u, v, zero):
         t = x * y
         acc = t if acc is None else acc + t
     return zero if acc is None else acc
+
+
+def _eval_terms(terms, xs):
+    """Sum of the terms at the point xs, a list of reals."""
+    total = 0.0
+    for exp, c in terms.items():
+        m = c
+        for xi, e in zip(xs, exp):
+            if e == 1:
+                m *= xi
+            elif e:
+                m *= xi ** e
+        total += m
+    return total
+
+
+def _gradient_terms(terms, xs):
+    """The partial derivatives of the terms at xs, as a list."""
+    g = [0.0] * len(xs)
+    for exp, c in terms.items():
+        for i, ei in enumerate(exp):
+            if ei == 0:
+                continue
+            m = c * ei
+            for j, (xj, ej) in enumerate(zip(xs, exp)):
+                k = ej - 1 if j == i else ej
+                if k == 1:
+                    m *= xj
+                elif k:
+                    m *= xj ** k
+            g[i] += m
+    return g
+
+
+def _on_floats(kernel, terms, x):
+    """kernel(terms, x) on Python floats, which do the same IEEE
+    operations as numpy scalars without boxing each one.  Float ``**``
+    raises OverflowError where a numpy scalar gives inf, so an overflow
+    reruns the kernel on numpy scalars."""
+    try:
+        return kernel(terms, x.tolist())
+    except OverflowError:
+        return kernel(terms, list(x))
 
 
 def compose_batch(polys, args):

@@ -12,6 +12,7 @@ definition.  These identities pin every sign in the implementation.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mdirac.dirac import (
     ConstraintSet,
@@ -115,6 +116,47 @@ def test_context_evaluates_jacobian_once():
     ctx = DiracContext(stub, np.array([0.0, 0.0, 1.0, 0.3, -0.2, 0.0]))
     assert ctx.classification == "SecondClass"
     assert stub.jacobian_calls == 1
+
+
+def case2_slice_set():
+    """The 6-constraint case-2 slice set and its equilibrium."""
+    p = DspParams()
+    re = dsp_equilibria(p, 2, omega=1.0)
+    return dsp_slice(p, re).full_constraints, re.x0
+
+
+def test_context_evaluates_each_gradient_once(monkeypatch):
+    full, x0 = case2_slice_set()
+    rng = np.random.default_rng(71)
+    z = project_to_constraints(full, x0 + 1e-2 * rng.standard_normal(12))
+    fs = [SmoothMap.from_poly(TruncatedPoly(12, 6, {
+        tuple(int(e) for e in rng.integers(0, 2, size=12)):
+        float(rng.standard_normal()) for _ in range(8)})) for _ in range(5)]
+    calls = []
+    jacobian = SmoothMap.jacobian
+
+    def counted(self, x):
+        calls.append(self)
+        return jacobian(self, x)
+
+    monkeypatch.setattr(SmoothMap, "jacobian", counted)
+    ctx = DiracContext(full, z)
+    assert len(calls) == full.k
+    calls.clear()
+    for f in fs:
+        for g in fs:
+            dirac_bracket(f, g, ctx)
+    for phi in full.constraints:
+        for f in fs:
+            dirac_bracket(phi, f, ctx)
+    for f in fs:
+        dirac_project(f, ctx)
+    assert len(calls) == len(fs)
+    # the cached constraint gradients are the rows of G, bit for bit
+    for i, phi in enumerate(full.constraints):
+        assert np.array_equal(ctx.gradient(phi), jacobian(phi, z).ravel())
+        assert np.array_equal(ctx.gradient(phi), ctx.G[i])
+    assert not ctx.gradient(fs[0]).flags.writeable
 
 
 def test_classify_sphere_pair_second_class():
@@ -490,6 +532,43 @@ def test_project_to_constraints_singular_gram_raises():
     cs = neumann_model(np.eye(3)).constraints
     with pytest.raises(RuntimeError, match="singular"):
         project_to_constraints(cs, np.zeros(6))
+
+
+def test_project_to_constraints_refuses_nan_start():
+    with pytest.raises(ValueError, match="non-finite"):
+        project_to_constraints(sphere_pair(), np.full(6, np.nan))
+
+
+def test_project_to_constraints_warns_on_ill_conditioned_gram():
+    # gradients e_1 and 1e-9 e_2: Gram diag(1, 1e-18), rcond 1e-18 < eps
+    n = 4
+    cs = ConstraintSet.from_polys([TruncatedPoly.variable(0, n, 2),
+                                   1e-9 * TruncatedPoly.variable(1, n, 2)])
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        x = project_to_constraints(cs, np.array([0.5, 0.25, 1.0, 2.0]))
+    assert np.max(np.abs(cs.values(x))) < 1e-12
+
+
+def reference_projection(cs, x):
+    """Newton projection with the Gram system solved by
+    scipy.linalg.solve(assume_a="pos")."""
+    x = np.array(x, dtype=float)
+    for _ in range(50):
+        r = cs.values(x)
+        if np.max(np.abs(r)) < 1e-12:
+            break
+        G = cs.jacobian(x)
+        x = x + G.T @ scipy.linalg.solve(G @ G.T, -r, assume_a="pos")
+    return x
+
+
+def test_project_to_constraints_matches_scipy_solve_bit_for_bit():
+    full, x0 = case2_slice_set()
+    rng = np.random.default_rng(72)
+    for _ in range(8):
+        y = x0 + 1e-2 * rng.standard_normal(12)
+        assert np.array_equal(project_to_constraints(full, y),
+                              reference_projection(full, y))
 
 
 def test_sample_probes_deterministic():

@@ -160,6 +160,61 @@ def test_eval_wrong_length_raises():
         f.eval([1.0, 2.0])
 
 
+def reference_eval(f, x):
+    """Term-by-term value on numpy scalars, in the kernel's order."""
+    total = 0.0
+    for exp, c in f.terms.items():
+        m = c
+        for xi, e in zip(np.asarray(x, dtype=float), exp):
+            if e == 1:
+                m *= xi
+            elif e:
+                m *= xi ** e
+        total += m
+    return total
+
+
+def reference_gradient(f, x):
+    """Partial derivatives on numpy scalars, in the kernel's order."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros(f.n_vars)
+    for exp, c in f.terms.items():
+        for i, ei in enumerate(exp):
+            if ei == 0:
+                continue
+            m = c * ei
+            for j, (xj, ej) in enumerate(zip(x, exp)):
+                k = ej - 1 if j == i else ej
+                if k == 1:
+                    m *= xj
+                elif k:
+                    m *= xj ** k
+            g[i] += m
+    return g
+
+
+def test_eval_and_gradient_match_reference_loop():
+    rng = np.random.default_rng(808)
+    for _ in range(20):
+        terms = {tuple(int(e) for e in rng.integers(0, 5, size=6)):
+                 float(rng.standard_normal()) for _ in range(30)}
+        f = TruncatedPoly(6, 24, terms)
+        for _ in range(5):
+            x = rng.uniform(-2.0, 2.0, size=6)
+            assert f.eval(x) == reference_eval(f, x)
+            assert np.array_equal(f.gradient(x), reference_gradient(f, x))
+    # a power past the float range is inf, as on numpy scalars
+    f = TruncatedPoly(2, 6, {(2, 0): 1.0, (0, 3): -1.0})
+    x = np.array([1e200, 1e20])
+    with np.errstate(over="ignore"):
+        assert f.eval(x) == reference_eval(f, x) == np.inf
+        assert np.array_equal(f.gradient(x), reference_gradient(f, x))
+    with pytest.raises(ValueError, match="wrong length"):
+        f.eval([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="wrong length"):
+        f.gradient([1.0])
+
+
 # ----------------------------------------------------------------------
 # composition / shifting
 # ----------------------------------------------------------------------
