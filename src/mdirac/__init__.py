@@ -6,7 +6,8 @@ Subpackages
 poly
     Truncated polynomial algebra, Poisson brackets, Lie transforms.
 smooth
-    Smooth scalar/vector maps with analytic and finite-difference jets.
+    Polynomial scalar/vector maps with exact jets; finite-difference
+    Jacobian oracle.
 dirac
     Constraint sets, Dirac matrix/projection/bracket, diagnostics.
 symmetry

@@ -620,15 +620,6 @@ class HomologicalOperator:
         return int(np.sum(np.abs(self.eigenvalues()) < TAU_RES))
 
 
-def homological_matrix(H2_or_eta, k: int) -> HomologicalOperator:
-    """Homological operator at degree k for given frequencies."""
-    if isinstance(H2_or_eta, QuadraticData):
-        eta = H2_or_eta.eta
-    else:
-        eta = np.asarray(H2_or_eta, dtype=float)
-    return HomologicalOperator(eta, k)
-
-
 def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator):
     """Resonant/nonresonant split and homological solve at one degree.
 

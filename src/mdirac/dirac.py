@@ -1,19 +1,23 @@
 """Constraint sets, the Dirac matrix, Dirac projection and bracket.
 
-The central objects: an ordered family of scalar constraints phi_1..phi_k
-on ambient phase space, the antisymmetric matrix C_ij = {phi_i, phi_j}
-of their canonical brackets, and the induced Dirac bracket
+The central objects: an ordered family of scalar polynomial constraints
+phi_1..phi_k on ambient phase space, the antisymmetric matrix
+C_ij = {phi_i, phi_j} of their canonical brackets, and the induced Dirac
+bracket
 
     {f, g}_D = {f, g} - sum_ij {f, phi_i} C^ij {phi_j, g},
 
 which restricts the dynamics to the constraint manifold when the family
-is second-class (C invertible).  ``dirac_structure_series`` gives a
-truncated-series version of the bracket around a point in ambient
-coordinates; the normal-form pipeline does not use it, but builds its
-chart-variable bracket with ``birkhoff.dirac_chart_structure`` from the
-polynomial matrix helpers below.  Their entries are TruncatedPoly or
-real (a constant matrix enters as reals), and every entry of a product
-is one ``poly.poly_dot``.
+is second-class (C invertible).  Pointwise, a ``DiracContext`` freezes
+the constraint geometry at x, and ``dirac_bracket``, ``dirac_project``
+and ``moser_multipliers`` read it; ``dirac_field_callable`` is the
+closed-form projected field for integrator inner loops.
+``dirac_structure_series`` gives a truncated-series version of the
+bracket around a point in ambient coordinates; the normal-form pipeline
+does not use it, but builds its chart-variable bracket with
+``birkhoff.dirac_chart_structure`` from the polynomial matrix helpers
+below.  Their entries are TruncatedPoly or real (a constant matrix
+enters as reals), and every entry of a product is one ``poly.poly_dot``.
 """
 
 from __future__ import annotations
@@ -43,18 +47,16 @@ MIXED = "Mixed/Degenerate"
 
 
 class ConstraintSet:
-    """Ordered scalar constraints with optional polynomial forms.
+    """Ordered scalar polynomial constraints.
 
     Parameters
     ----------
     constraints : list of SmoothMap
-        Scalar maps on a common ambient space.
-    polys : list of TruncatedPoly, optional
-        Ambient-coordinate polynomial forms of the same constraints, in
-        the same order; required by the series Dirac structure.
+        Scalar maps on a common ambient space; ``polys`` holds their
+        polynomials in the same order, for the series Dirac structure.
     """
 
-    def __init__(self, constraints, polys=None, names=None):
+    def __init__(self, constraints, names=None):
         constraints = list(constraints)
         if not constraints:
             raise ValueError("constraint set cannot be empty")
@@ -67,16 +69,12 @@ class ConstraintSet:
         self.constraints = constraints
         self.dim = dim
         self.k = len(constraints)
-        self.polys = list(polys) if polys is not None else None
-        if self.polys is not None and len(self.polys) != self.k:
-            raise ValueError("one polynomial form per constraint required")
+        self.polys = [c.polys[0] for c in constraints]
         self.names = list(names) if names else ["phi%d" % i for i in range(self.k)]
 
     @classmethod
     def from_polys(cls, polys, names=None):
-        polys = list(polys)
-        maps = [SmoothMap.from_poly(p) for p in polys]
-        return cls(maps, polys=polys, names=names)
+        return cls([SmoothMap.from_poly(p) for p in polys], names=names)
 
     def values(self, x) -> np.ndarray:
         return np.array([c.value(x) for c in self.constraints])
@@ -85,36 +83,21 @@ class ConstraintSet:
         """Stacked constraint gradients, shape (k, dim)."""
         return np.vstack([c.gradient(x) for c in self.constraints])
 
-    def centered_polys(self, x0, max_degree=None):
-        """Polynomial forms recentred at x0: phi_i(x0 + u)."""
-        if self.polys is None:
-            raise ValueError("constraint set has no polynomial forms")
-        out = []
-        for p in self.polys:
-            q = p.shifted(x0)
-            if max_degree is not None:
-                q = q.truncated(max_degree)
-            out.append(q)
-        return out
+    def centered_polys(self, x0, max_degree):
+        """Polynomial forms recentred at x0 and truncated at max_degree:
+        phi_i(x0 + u)."""
+        return [p.shifted(x0).truncated(max_degree) for p in self.polys]
 
     def subset(self, idx):
-        """The constraints at positions idx, with their polynomial forms
-        when the set has them."""
-        maps = [self.constraints[i] for i in idx]
-        polys = None
-        if self.polys is not None:
-            polys = [self.polys[i] for i in idx]
-        return ConstraintSet(maps, polys=polys,
+        """The constraints at positions idx."""
+        return ConstraintSet([self.constraints[i] for i in idx],
                              names=[self.names[i] for i in idx])
 
     def concat(self, other: "ConstraintSet") -> "ConstraintSet":
         if other.dim != self.dim:
             raise ValueError("ambient dimensions differ")
-        polys = None
-        if self.polys is not None and other.polys is not None:
-            polys = self.polys + other.polys
         return ConstraintSet(self.constraints + other.constraints,
-                             polys=polys, names=self.names + other.names)
+                             names=self.names + other.names)
 
 
 def _constraint_fields(G) -> np.ndarray:
@@ -243,20 +226,8 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
     return scipy.linalg.solve(ctx.C.T, b)
 
 
-def dirac_field(H: SmoothMap, cs: ConstraintSet, name="") -> SmoothMap:
-    """The Dirac-projected field of H as a SmoothMap (fresh context per
-    evaluation point)."""
-    n = cs.dim
-
-    def _eval(x):
-        return dirac_project(H, DiracContext(cs, x))
-
-    return SmoothMap(n, n, _eval, source="Analytic",
-                     name=name or "X_D[%s]" % (H.name or "H"))
-
-
 def dirac_field_callable(gradient, constraint_jacobian):
-    """Fast closed-form twin of dirac_field for integrator inner loops.
+    """Fast closed-form twin of dirac_project for integrator inner loops.
 
     gradient(x) is grad(H) and constraint_jacobian(x) the stacked
     constraint gradients G; with the constraint fields XG of

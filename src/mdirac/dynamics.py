@@ -4,10 +4,11 @@ near-integrability check.
 
 Integrators are deliberately fixed-step (rk4, projected rk4, implicit
 midpoint): the acceptance numbers must be reproducible, and the working
-horizons are desk scale.  Fields and monitors may be SmoothMaps or plain
-callables; the constrained integrator only needs ``values``,
-``jacobian`` and ``k`` from its constraint argument, so a fast
-closed-form stand-in for a ConstraintSet (``models.CallableConstraints``)
+horizons are desk scale.  Fields and monitors may be SmoothMaps
+(polynomial maps) or plain callables, such as a field from
+``dirac.dirac_field_callable``; the constrained integrator only needs
+``values``, ``jacobian`` and ``k`` from its constraint argument, so a
+fast closed-form stand-in for a ConstraintSet (``models.CallableConstraints``)
 works too.  The start point is checked with a ``dirac.DiracContext``,
 and the post-step Newton projection ``project_onto_constraints`` is
 ``dirac.project_to_constraints`` under the name this module looks up.
@@ -169,7 +170,7 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list) -> dict:
     Passes when every residual is below 1e-8.  Raises ValueError on an
     empty eps_list, which would pass with nothing checked.
 
-    H_family: callable eps -> SmoothMap.  test_fns: name -> SmoothMap.
+    H_family: callable eps -> TruncatedPoly.  test_fns: name -> SmoothMap.
     """
     eps_list = list(eps_list)
     if not eps_list:
@@ -185,9 +186,7 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list) -> dict:
     per_eps = {}
     worst = 0.0
     for eps in eps_list:
-        H = H_family(eps)
-        if not isinstance(H, SmoothMap):
-            H = SmoothMap.from_poly(H, name="H_eps")
+        H = SmoothMap.from_poly(H_family(eps))
         res = {}
         for nm, fn in test_fns.items():
             vals = []

@@ -33,7 +33,7 @@ from .poly import (
     poisson_bracket,
     poly_dot,
 )
-from .smooth import SmoothMap, central_difference, hamiltonian_vector_field
+from .smooth import SmoothMap, fd_jet, hamiltonian_vector_field
 from .dirac import (
     ConstraintSet,
     DiracContext,
@@ -709,9 +709,9 @@ def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
 
     # flow residual of the integrals against the Dirac bracket, and the
     # bracket identity for an invariant coupling family
-    fns = {nm: SmoothMap.from_poly(pp, name=nm)
+    fns = {nm: SmoothMap.from_poly(pp)
            for nm, pp in zip(model.residual_names, model.residual_polys)}
-    fns["F1"] = SmoothMap.from_poly(model.F_polys[0], name="F1")
+    fns["F1"] = SmoothMap.from_poly(model.F_polys[0])
     xv = lambda i: TruncatedPoly.variable(i, 6, DEFAULT_MAX_DEGREE)
     coupling = xv(0) * xv(0) * xv(1) * xv(1)
     rel = relatedness_check(lambda e: model.H_poly + e * coupling,
@@ -785,12 +785,6 @@ def _run_oscillator_bnf(cfg: ExperimentConfig, checks: CheckSet):
         "nf_result.json": to_jsonable(res.to_json_dict())}
 
 
-def _fd_gradient(fn, x):
-    """Central-difference gradient, step 1e-6."""
-    return np.array([central_difference(fn.value, x, e, 1e-6)
-                     for e in np.eye(x.size)])
-
-
 def _run_hygiene(cfg: ExperimentConfig, checks: CheckSet):
     num = cfg.num
     rng = np.random.default_rng(cfg.seed)
@@ -798,13 +792,14 @@ def _run_hygiene(cfg: ExperimentConfig, checks: CheckSet):
     p = DspParams(m1=1.3, m2=0.7, l1=1.1, l2=0.9, g=3.0)
     Hm, _ = dsp_hamiltonian(p)
     Jp = dsp_action().momentum_polys()[0]
-    suite = {"dsp_H": Hm, "dsp_J": SmoothMap.from_poly(Jp, name="J")}
-    for phi in dsp_spheres().constraints:
-        suite["dsp_" + phi.name] = phi
+    suite = {"dsp_H": Hm, "dsp_J": SmoothMap.from_poly(Jp)}
+    spheres = dsp_spheres()
+    for nm, phi in zip(spheres.names, spheres.constraints):
+        suite["dsp_" + nm] = phi
     nm_model = neumann_model(np.diag([1.0, 2.0, 4.0]))
     suite["neumann_H"] = nm_model.H
     suite["separable_H"] = separable_oscillator_model().H
-    suite["ks_BL"] = SmoothMap.from_poly(ks_model().bl_poly, name="BL")
+    suite["ks_BL"] = SmoothMap.from_poly(ks_model().bl_poly)
 
     worst = {}
     for name, fn in suite.items():
@@ -812,7 +807,7 @@ def _run_hygiene(cfg: ExperimentConfig, checks: CheckSet):
         for _ in range(num["n_points"]):
             x = num["scale"] * rng.standard_normal(fn.domain_dim)
             ga = fn.gradient(x)
-            gf = _fd_gradient(fn, x)
+            gf = fd_jet(fn, x).ravel()
             err = max(err, float(np.max(np.abs(ga - gf))
                                  / max(1.0, np.max(np.abs(ga)))))
         worst[name] = err

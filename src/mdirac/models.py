@@ -173,7 +173,7 @@ def dsp_hamiltonian(p: DspParams):
     v[5] = p.m2 * p.g * p.l2
     poly = TruncatedPoly.from_quadratic_form(S, DEFAULT_MAX_DEGREE)
     poly = poly + TruncatedPoly.from_linear(v, DEFAULT_MAX_DEGREE)
-    return SmoothMap.from_poly(poly, name="H_dsp"), poly
+    return SmoothMap.from_poly(poly), poly
 
 
 def dsp_locked_inertia(p: DspParams) -> LockedInertia:
@@ -325,7 +325,7 @@ def dsp_equilibria(p: DspParams, case_id: int, mu: float | None = None,
     if case_id not in DSP_CASE_NAMES:
         raise ValueError("case_id must be 1, 2, 3 or 4")
     Hm, _ = dsp_hamiltonian(p)
-    Jm = SmoothMap.from_poly(dsp_action().momentum_polys()[0], name="J")
+    Jm = SmoothMap.from_poly(dsp_action().momentum_polys()[0])
     cs = dsp_spheres()
     q1, q2 = dsp_case_configuration(p, case_id)
 
@@ -584,8 +584,7 @@ class MoserModel:
                                         names=names)
 
     def residual_integrals(self):
-        return [SmoothMap.from_poly(p, name=nm)
-                for p, nm in zip(self.residual_polys, self.residual_names)]
+        return [SmoothMap.from_poly(p) for p in self.residual_polys]
 
 
 def neumann_model(A) -> MoserModel:
@@ -612,7 +611,7 @@ def neumann_model(A) -> MoserModel:
          for i in range(2 * n)]
     F1 = poly_dot(x[:n], x[n:], TruncatedPoly.zero(2 * n, DEFAULT_MAX_DEGREE))
     return MoserModel(
-        name="neumann", H=SmoothMap.from_poly(H_poly, name="H_neumann"),
+        name="neumann", H=SmoothMap.from_poly(H_poly),
         H_poly=H_poly, G_polys=[G1], F_polys=[F1],
         residual_polys=[H_poly], residual_names=["H"])
 
@@ -647,7 +646,7 @@ def separable_oscillator_model(omega=(1.0, 2.0 ** 0.5, 5.0 ** 0.5),
         F1 = TruncatedPoly.variable(5, n, K)
     return MoserModel(
         name="separable_oscillator" + ("_broken" if broken else ""),
-        H=SmoothMap.from_poly(H_poly, name="H_sep"), H_poly=H_poly,
+        H=SmoothMap.from_poly(H_poly), H_poly=H_poly,
         G_polys=[G1], F_polys=[F1],
         residual_polys=[mode[0], mode[1]],
         residual_names=["E1", "E2"])
@@ -766,4 +765,4 @@ def ks_model() -> KsModel:
         bl_poly=bl,
         constraints=ConstraintSet.from_polys([bl], names=["BL"]),
         hopf_polys=hopf,
-        hopf_map=SmoothMap.from_poly(hopf, name="hopf"))
+        hopf_map=SmoothMap.from_poly(hopf))

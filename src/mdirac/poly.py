@@ -394,15 +394,6 @@ class StructuredStructure(PoissonStructure):
                         (dg[b] for _, b in pairs),
                         TruncatedPoly.zero(n, min(f.max_degree, g.max_degree)))
 
-    @classmethod
-    def from_constant_matrix(cls, J, n_vars: int, max_degree: int):
-        J = np.asarray(J, dtype=float)
-        pi = np.empty(J.shape, dtype=object)
-        for a in range(J.shape[0]):
-            for b in range(J.shape[1]):
-                pi[a, b] = TruncatedPoly.constant(J[a, b], n_vars, max_degree)
-        return cls(pi)
-
 
 # ----------------------------------------------------------------------
 # module-level operations

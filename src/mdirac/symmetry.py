@@ -134,11 +134,9 @@ class MomentumData:
         if self.mu.size != action.group_dim:
             raise ValueError("one level value per generator required")
         self.J_polys = action.momentum_polys()
-        self.J_components = [SmoothMap.from_poly(p, name="J%d" % i)
-                             for i, p in enumerate(self.J_polys)]
+        self.J_components = [SmoothMap.from_poly(p) for p in self.J_polys]
         self.Phi_polys = [p - float(v) for p, v in zip(self.J_polys, self.mu)]
-        self.Phi = [SmoothMap.from_poly(p, name="Phi%d" % i)
-                    for i, p in enumerate(self.Phi_polys)]
+        self.Phi = [SmoothMap.from_poly(p) for p in self.Phi_polys]
 
 
 class SliceModel:
@@ -155,7 +153,7 @@ class SliceModel:
         self.Upsilon = upsilon_cs.constraints
         self.W = W
         self.B = B
-        phi_cs = ConstraintSet(momentum.Phi, polys=momentum.Phi_polys,
+        phi_cs = ConstraintSet(momentum.Phi,
                                names=["Phi%d" % i
                                       for i in range(len(momentum.Phi))])
         if base is not None:

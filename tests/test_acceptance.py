@@ -393,9 +393,9 @@ def test_criterion_09_separable_moser():
                      constraints=fast, monitors={"E1": mode(0), "E2": mode(1)})
     drift = max(conserved_monitor(traj, ("E1", "E2")).values())
 
-    fns = {nm: SmoothMap.from_poly(pp, name=nm)
+    fns = {nm: SmoothMap.from_poly(pp)
            for nm, pp in zip(model.residual_names, model.residual_polys)}
-    fns["F1"] = SmoothMap.from_poly(model.F_polys[0], name="F1")
+    fns["F1"] = SmoothMap.from_poly(model.F_polys[0])
     xv = lambda i: TruncatedPoly.variable(i, 6, DEFAULT_MAX_DEGREE)
     coupling = xv(0) * xv(0) * xv(1) * xv(1)
     rel = relatedness_check(lambda e: model.H_poly + e * coupling,
@@ -422,8 +422,9 @@ def test_criterion_10_numerical_hygiene():
     suite = {"dsp_H": Hm,
              "dsp_J": SmoothMap.from_poly(
                  dsp_action().momentum_polys()[0])}
-    for phi in dsp_spheres().constraints:
-        suite["dsp_" + phi.name] = phi
+    spheres = dsp_spheres()
+    for nm, phi in zip(spheres.names, spheres.constraints):
+        suite["dsp_" + nm] = phi
     suite["neumann_H"] = neumann_model(np.diag([1.0, 2.0, 4.0])).H
     suite["separable_H"] = separable_oscillator_model().H
     suite["ks_BL"] = SmoothMap.from_poly(ks_model().bl_poly)

@@ -19,7 +19,6 @@ from mdirac.birkhoff import (
     darboux_flatten,
     darboux_frame,
     dirac_chart_structure,
-    homological_matrix,
     intertwining_check,
     linear_normalize,
     oscillator_poly,
@@ -261,7 +260,7 @@ def kernel_dim_of_matrix(L):
 
 
 def test_homological_kernel_one_dof_quadratic():
-    L = homological_matrix([1.0], 2)
+    L = HomologicalOperator([1.0], 2)
     M = L.matrix()
     assert kernel_dim_of_matrix(M) == 1
     # kernel is spanned by Q^2 + P^2
@@ -272,19 +271,19 @@ def test_homological_kernel_one_dof_quadratic():
 
 
 def test_homological_kernel_one_dof_cubic_empty():
-    L = homological_matrix([1.0], 3)
+    L = HomologicalOperator([1.0], 3)
     assert kernel_dim_of_matrix(L.matrix()) == 0
     assert L.kernel_dimension() == 0
 
 
 def test_homological_kernel_resonant_quartic():
-    L = homological_matrix([1.0, 1.0], 4)
+    L = HomologicalOperator([1.0, 1.0], 4)
     assert kernel_dim_of_matrix(L.matrix()) == 9
     assert L.kernel_dimension() == 9
 
 
 def test_homological_eigenvalue_multiset():
-    L = homological_matrix([1.0, math.sqrt(2.0)], 3)
+    L = HomologicalOperator([1.0, math.sqrt(2.0)], 3)
     got = np.linalg.eigvals(L.matrix())
     want = L.eigenvalues()
     # purely imaginary spectrum: compare as multisets of imaginary parts
@@ -303,7 +302,7 @@ def test_split_kernel_passthrough():
     q = TruncatedPoly.variable(0, 2, K)
     p = TruncatedPoly.variable(1, 2, K)
     act = (q * q + p * p) ** 2
-    L = homological_matrix([1.0], 4)
+    L = HomologicalOperator([1.0], 4)
     res, nr, gam = split_resonant(act, L)
     assert coeff_distance(res, act) < 1e-12
     assert nr.is_zero() and gam.is_zero()
@@ -315,7 +314,7 @@ def test_split_constructed_preimage():
     g = q * q * q
     H2 = oscillator_poly([1.0], K)
     Lg = poisson_bracket(H2, g, CanonicalStructure(1))
-    L = homological_matrix([1.0], 3)
+    L = HomologicalOperator([1.0], 3)
     res, nr, gam = split_resonant(Lg, L)
     assert res.is_zero()
     assert coeff_distance(nr, Lg) < 1e-12
@@ -326,7 +325,7 @@ def test_split_quartic_oscillator_coefficient():
     K = 4
     q = TruncatedPoly.variable(0, 2, K)
     p = TruncatedPoly.variable(1, 2, K)
-    L = homological_matrix([1.0], 4)
+    L = HomologicalOperator([1.0], 4)
     res, nr, gam = split_resonant(q ** 4, L)
     expected = 0.375 * (q * q + p * p) ** 2
     assert coeff_distance(res, expected) < 1e-12
@@ -343,7 +342,7 @@ def test_split_near_resonance_warns():
     p1 = TruncatedPoly.variable(2, 4, K)
     p2 = TruncatedPoly.variable(3, 4, K)
     Hk = q1 * q2 + p1 * p2
-    L = homological_matrix([1.0, 1.0 + 5e-9], 2)
+    L = HomologicalOperator([1.0, 1.0 + 5e-9], 2)
     with pytest.warns(NearResonanceWarning):
         split_resonant(Hk, L)
 

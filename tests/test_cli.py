@@ -302,6 +302,17 @@ def test_cli_list_json_schema(capsys):
                                          "jacobi_defect": "max"}
 
 
+def test_hygiene_audits_every_constraint(tmp_path):
+    cfg = _write(tmp_path / "hy.json", {"experiment": "hygiene",
+                                        "numerics": {"n_points": 2}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["gradient_rel_err"]) == [
+        "dsp_H", "dsp_J", "dsp_sphere1", "dsp_sphere2", "dsp_tangent1",
+        "dsp_tangent2", "ks_BL", "neumann_H", "separable_H"]
+
+
 def test_cli_writes_nf_artifact(tmp_path):
     cfg = _write(tmp_path / "bnf.json",
                  {"experiment": "oscillator_bnf", "model": {"beta": 0.5},

@@ -245,9 +245,9 @@ def separable_setup():
     model = separable_oscillator_model()
     x0 = np.array([0.4, -0.2, 0.0, 0.1, 0.5, 0.0])
     probes = sample_probes(model.constraints, x0, 10, 0.3, 9)
-    fns = {nm: SmoothMap.from_poly(pp, name=nm)
+    fns = {nm: SmoothMap.from_poly(pp)
            for nm, pp in zip(model.residual_names, model.residual_polys)}
-    fns["F1"] = SmoothMap.from_poly(model.F_polys[0], name="F1")
+    fns["F1"] = SmoothMap.from_poly(model.F_polys[0])
     return model, probes, fns
 
 
@@ -276,7 +276,7 @@ def test_relatedness_flags_constrained_mode_coupling():
 def test_relatedness_constant_test_function():
     model, probes, _ = separable_setup()
     one = SmoothMap.from_poly(
-        TruncatedPoly.zero(6, DEFAULT_MAX_DEGREE) + 1.0, name="c")
+        TruncatedPoly.zero(6, DEFAULT_MAX_DEGREE) + 1.0)
     rep = relatedness_check(lambda e: model.H_poly, model.constraints,
                             {"c": one}, probes, [0.0])
     assert rep["max_residual"] == 0.0

@@ -339,7 +339,11 @@ def test_structured_constant_matrix_matches_canonical():
     n = 2 * m
     J0 = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
     canon = CanonicalStructure(m)
-    struct = StructuredStructure.from_constant_matrix(J0, n, 6)
+    pi = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            pi[a, b] = TruncatedPoly.constant(J0[a, b], n, 6)
+    struct = StructuredStructure(pi)
     for _ in range(8):
         f = random_poly(rng, n, 3, 6)
         g = random_poly(rng, n, 3, 6)

@@ -93,7 +93,7 @@ def test_commuting_momenta_first_class():
     a2[2:, 2:] = ROT2
     act = GroupAction([a1, a2])
     md = MomentumData(act, mu=[0.3, -0.2])
-    cs = ConstraintSet(md.Phi, polys=md.Phi_polys)
+    cs = ConstraintSet(md.Phi)
     rng = np.random.default_rng(9)
     probes = []
     while len(probes) < 8:
