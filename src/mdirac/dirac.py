@@ -113,7 +113,8 @@ class DiracContext:
 
     ``cs`` is any object with ``jacobian(x)`` and ``k``: a ConstraintSet
     or a closed-form stand-in.  ``C_inv`` is None unless the set is
-    second-class at the point (LU inversion with partial pivoting).
+    second-class at the point (one gesv solve against the identity, the
+    LU kernel ``dirac_field_callable`` uses).
     Immutable after construction except for the gradient cache of
     :meth:`gradient`, which only grows.
     """
@@ -155,8 +156,7 @@ class DiracContext:
         else:
             self.classification = MIXED
         if self.classification == SECOND_CLASS:
-            lu, piv = scipy.linalg.lu_factor(C)
-            self.C_inv = scipy.linalg.lu_solve((lu, piv), np.eye(cs.k))
+            self.C_inv = _solve_square(C, np.eye(cs.k))
         else:
             self.C_inv = None
 
@@ -236,13 +236,15 @@ def dirac_field_callable(gradient, constraint_jacobian):
         X_D = X_H - XG^T C^{-1} G X_H,  X_H = J0 grad H,  C = G XG^T,
 
     which agrees with dirac_project pointwise at second-class points but
-    skips all SmoothMap plumbing and classification.
+    skips all SmoothMap plumbing and classification: one LAPACK gesv
+    solve per evaluation, RuntimeError where C is singular (the set is
+    not second-class at x).
     """
     def _field(x):
         Xf = J_apply(gradient(x))
         G = constraint_jacobian(x)
         XG = _constraint_fields(G)
-        y = np.linalg.solve(G @ XG.T, G @ Xf)
+        y = _solve_square(G @ XG.T, G @ Xf)
         return Xf - y @ XG
 
     return _field
@@ -406,13 +408,26 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _solve_square(A, b):
+    """A^-1 b by LAPACK's gesv (LU with partial pivoting), which is
+    np.linalg.solve(A, b) bit for bit, and getrf then getrs as in
+    scipy.linalg.lu_factor/lu_solve, without their per-call overhead.
+    A is a constraint matrix C; RuntimeError when it is exactly
+    singular, that is, when the set is not second-class at the point."""
+    _, _, y, info = scipy.linalg.lapack.dgesv(A, b)
+    if info != 0:
+        raise RuntimeError("constraint matrix C is singular: the constraint "
+                           "set is not second-class at x")
+    return y
+
+
 def _solve_gram(A, b):
     """A^-1 b for a Gram matrix A by LAPACK's Cholesky posv, which is
     scipy.linalg.solve(A, b, assume_a="pos") bit for bit without its
     per-call overhead.  Its refusals are kept: ValueError on non-finite
     input, RuntimeError when A is not positive definite, LinAlgWarning
     when the reciprocal condition number is below machine epsilon."""
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("non-finite constraint values or gradients")
     factor, y, info = scipy.linalg.lapack.dposv(A, b)
     if info != 0:
@@ -438,15 +453,15 @@ def project_to_constraints(cs, x):
     x = np.array(x, dtype=float)
     for _ in range(NEWTON_MAX_ITER):
         r = np.asarray(cs.values(x), dtype=float)
-        if np.max(np.abs(r)) < NEWTON_TOL:
+        if abs(r).max() < NEWTON_TOL:
             return x
         G = np.asarray(cs.jacobian(x), dtype=float)
         x = x + G.T @ _solve_gram(G @ G.T, -r)
     r = np.asarray(cs.values(x), dtype=float)
-    if np.max(np.abs(r)) < NEWTON_TOL:
+    if abs(r).max() < NEWTON_TOL:
         return x
     raise RuntimeError("constraint projection did not converge "
-                       "(residual %g)" % np.max(np.abs(r)))
+                       "(residual %g)" % abs(r).max())
 
 
 def probe_list(probes) -> list:

@@ -4,14 +4,15 @@ near-integrability check.
 
 Integrators are deliberately fixed-step (rk4, projected rk4, implicit
 midpoint): the acceptance numbers must be reproducible, and the working
-horizons are desk scale.  Fields and monitors may be SmoothMaps
-(polynomial maps) or plain callables, such as a field from
-``dirac.dirac_field_callable``; the constrained integrator only needs
-``values``, ``jacobian`` and ``k`` from its constraint argument, so a
-fast closed-form stand-in for a ConstraintSet (``models.CallableConstraints``)
-works too.  The start point is checked with a ``dirac.DiracContext``,
-and the post-step Newton projection ``project_onto_constraints`` is
-``dirac.project_to_constraints`` under the name this module looks up.
+horizons are desk scale.  Fields and monitors are called as functions
+of the state: SmoothMaps (polynomial maps, callable as their value) or
+plain callables, such as a field from ``dirac.dirac_field_callable``.
+The constrained integrator only needs ``values``, ``jacobian`` and ``k``
+from its constraint argument, so a fast closed-form stand-in for a
+ConstraintSet (``models.CallableConstraints``) works too.  The start
+point is checked with a ``dirac.DiracContext``, and the post-step Newton
+projection ``project_onto_constraints`` is ``dirac.project_to_constraints``
+under the name this module looks up.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ import numpy as np
 from .dirac import DiracContext, dirac_bracket, probe_list
 from .dirac import project_to_constraints as project_onto_constraints
 from .smooth import SmoothMap, canonical_bracket_value
-
-
-def _as_callable(f):
-    return f.value if isinstance(f, SmoothMap) else f
 
 
 @dataclass
@@ -98,7 +95,6 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
     """
     if not (np.isfinite(T) and np.isfinite(dt)) or T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive and finite")
-    f = _as_callable(vec_field)
     x = np.array(x0, dtype=float)
     n_steps = int(round(T / dt))
     if n_steps == 0:
@@ -112,7 +108,7 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
         DiracContext(constraints, x).require_second_class()
     elif method not in ("rk4", "implicit_midpoint"):
         raise ValueError("unknown method %r" % method)
-    monitors = {nm: _as_callable(g) for nm, g in (monitors or {}).items()}
+    monitors = monitors or {}
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, x.size))
@@ -127,12 +123,12 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
     record(0, 0.0, x)
     for k in range(1, n_steps + 1):
         if method == "implicit_midpoint":
-            x = _implicit_midpoint_step(f, x, dt)
+            x = _implicit_midpoint_step(vec_field, x, dt)
         else:
-            x = _rk4_step(f, x, dt)
+            x = _rk4_step(vec_field, x, dt)
             if method == "projected_rk4":
                 x = project_onto_constraints(constraints, x)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise RuntimeError("state became non-finite at t = %g" % (k * dt))
         record(k, k * dt, x)
     return Trajectory(times=times, states=states, diagnostics=diag)

@@ -396,6 +396,17 @@ class CallableConstraints:
         self.k = k
 
 
+def _sphere_jacobian_rows(x):
+    """Rows of the sphere-pairing constraint gradients at the point
+    (q1, q2, p1, p2) = (a, b, c, d), given as a list of 12 floats."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2, d0, d1, d2 = x
+    z = 0.0
+    return [[2.0 * a0, 2.0 * a1, 2.0 * a2, z, z, z, z, z, z, z, z, z],
+            [z, z, z, 2.0 * b0, 2.0 * b1, 2.0 * b2, z, z, z, z, z, z],
+            [c0, c1, c2, z, z, z, a0, a1, a2, z, z, z],
+            [z, z, z, d0, d1, d2, z, z, z, b0, b1, b2]]
+
+
 def dsp_sphere_callables() -> CallableConstraints:
     """Fast values/jacobian of the four sphere-pairing constraints,
     ordered as in dsp_spheres."""
@@ -405,26 +416,21 @@ def dsp_sphere_callables() -> CallableConstraints:
         return np.array([q1 @ q1 - 1.0, q2 @ q2 - 1.0, q1 @ p1, q2 @ p2])
 
     def jacobian(x):
-        q1, q2, p1, p2 = x[:3], x[3:6], x[6:9], x[9:12]
-        G = np.zeros((4, 12))
-        G[0, :3] = 2.0 * q1
-        G[1, 3:6] = 2.0 * q2
-        G[2, :3] = p1
-        G[2, 6:9] = q1
-        G[3, 3:6] = p2
-        G[3, 9:12] = q2
-        return G
+        return np.array(_sphere_jacobian_rows(x.tolist()))
 
     return CallableConstraints(values, jacobian, 4)
 
 
 def dsp_full_callables(slc) -> CallableConstraints:
     """Fast values/jacobian of the full slice constraint set (spheres,
-    momentum level, affine slice), ordered as slc.full_constraints."""
+    momentum level, affine slice), ordered as slc.full_constraints.
+    The momentum row is (-ahat p, ahat q), written out entry by entry:
+    ahat has only 0 and +-1 entries, so its products are exact."""
     base = dsp_sphere_callables()
     ahat = np.kron(np.eye(2), AZ)
     mu = float(slc.momentum.mu[0])
     w = np.array(slc.W[0], dtype=float)
+    w_row = w.tolist()
     c0 = float(w @ slc.x0)
 
     def values(x):
@@ -433,32 +439,39 @@ def dsp_full_callables(slc) -> CallableConstraints:
                                [p @ (ahat @ q) - mu, w @ x - c0]])
 
     def jacobian(x):
-        q, p = x[:6], x[6:]
-        G = np.zeros((6, 12))
-        G[:4] = base.jacobian(x)
-        G[4, :6] = -ahat @ p
-        G[4, 6:] = ahat @ q
-        G[5] = w
-        return G
+        v = x.tolist()
+        q0, q1, _, q3, q4, _, p0, p1, _, p3, p4, _ = v
+        z = 0.0
+        return np.array(_sphere_jacobian_rows(v) + [
+            [p1, -p0, z, p4, -p3, z, -q1, q0, z, -q4, q3, z], w_row])
 
     return CallableConstraints(values, jacobian, 6)
 
 
 def dsp_gradient(p: DspParams, Omega: float = 0.0):
-    """Closed-form gradient of H - Omega J for integrator loops."""
+    """Closed-form gradient of H - Omega J for integrator loops,
+    (gv + Omega ahat p, (alpha (x) I3) p - Omega ahat q) with gv the
+    gravity term, written out entry by entry in Python floats.  The zero
+    entries of gv, ahat p and ahat q stay as 0.0 terms, so every entry
+    rounds as the vector formula does."""
     al = p.alpha
-    ahat = np.kron(np.eye(2), AZ)
-    gv = np.zeros(6)
-    gv[2] = (p.m1 + p.m2) * p.g * p.l1
-    gv[5] = p.m2 * p.g * p.l2
+    a11, a12, a22 = float(al[0, 0]), float(al[0, 1]), float(al[1, 1])
+    g2 = (p.m1 + p.m2) * p.g * p.l1
+    g5 = p.m2 * p.g * p.l2
+    Om = float(Omega)
+    z = 0.0
 
     def grad(x):
-        q, pp = x[:6], x[6:]
-        v = np.concatenate([al[0, 0] * pp[:3] + al[0, 1] * pp[3:],
-                            al[0, 1] * pp[:3] + al[1, 1] * pp[3:]])
-        gq = gv + Omega * (ahat @ pp)
-        gp = v - Omega * (ahat @ q)
-        return np.concatenate([gq, gp])
+        q0, q1, _, q3, q4, _, p0, p1, p2, p3, p4, p5 = x.tolist()
+        return np.array([
+            z + Om * -p1, z + Om * p0, g2 + Om * z,
+            z + Om * -p4, z + Om * p3, g5 + Om * z,
+            (a11 * p0 + a12 * p3) - Om * -q1,
+            (a11 * p1 + a12 * p4) - Om * q0,
+            (a11 * p2 + a12 * p5) - Om * z,
+            (a12 * p0 + a22 * p3) - Om * -q4,
+            (a12 * p1 + a22 * p4) - Om * q3,
+            (a12 * p2 + a22 * p5) - Om * z])
 
     return grad
 

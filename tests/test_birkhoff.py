@@ -15,7 +15,6 @@ from mdirac.birkhoff import (
     birkhoff_normal_form,
     chart_series,
     chart_symplectic_defect,
-    conjugation_defect,
     darboux_flatten,
     darboux_frame,
     dirac_chart_structure,
@@ -23,10 +22,8 @@ from mdirac.birkhoff import (
     linear_normalize,
     oscillator_poly,
     pullback_form,
-    quadratic_matrix,
     run_normal_form_report,
     split_resonant,
-    transform_symplectic_defect,
     transport_structure,
 )
 from mdirac.dirac import ConstraintSet, poly_mat_neumann_inverse, sample_probes

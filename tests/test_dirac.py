@@ -30,6 +30,8 @@ from mdirac.dirac import (
     singularity_diagnostics,
 )
 from mdirac.models import (
+    AZ,
+    CallableConstraints,
     DspParams,
     dsp_action,
     dsp_equilibria,
@@ -37,15 +39,14 @@ from mdirac.models import (
     dsp_gradient,
     dsp_hamiltonian,
     dsp_slice,
+    dsp_sphere_callables,
     neumann_model,
 )
 from mdirac.poly import (
-    CanonicalStructure,
     TruncatedPoly,
     coeff_distance,
-    poisson_bracket,
 )
-from mdirac.smooth import SmoothMap
+from mdirac.smooth import J_apply, SmoothMap
 
 
 def sphere_pair(n=6, K=6):
@@ -156,6 +157,21 @@ def test_context_evaluates_each_gradient_once(monkeypatch):
         assert np.array_equal(ctx.gradient(phi), jacobian(phi, z).ravel())
         assert np.array_equal(ctx.gradient(phi), ctx.G[i])
     assert not ctx.gradient(fs[0]).flags.writeable
+
+
+def test_context_inverse_matches_lu_factor_bit_for_bit():
+    # C_inv by one gesv solve against the identity is getrf + getrs, as
+    # lu_factor/lu_solve, bit for bit
+    rng = np.random.default_rng(73)
+    for k in (2, 4, 6):
+        for _ in range(100):
+            G = rng.standard_normal((k, 12))
+            ctx = DiracContext(CallableConstraints(None, lambda x: G, k),
+                               np.zeros(12))
+            assert ctx.classification == "SecondClass"
+            want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(ctx.C),
+                                         np.eye(k))
+            assert np.array_equal(ctx.C_inv, want)
 
 
 def test_classify_sphere_pair_second_class():
@@ -607,3 +623,88 @@ def test_field_callable_matches_dirac_project_on_slice_set():
     for z in sample_probes(slc.full_constraints, re.x0, 8, 1e-2, 61):
         want = dirac_project(H_om, DiracContext(slc.full_constraints, z))
         np.testing.assert_allclose(X(z), want, rtol=0, atol=1e-12)
+
+
+def reference_dsp_gradient(p, Omega):
+    """dsp_gradient in numpy array arithmetic."""
+    al = p.alpha
+    ahat = np.kron(np.eye(2), AZ)
+    gv = np.zeros(6)
+    gv[2] = (p.m1 + p.m2) * p.g * p.l1
+    gv[5] = p.m2 * p.g * p.l2
+
+    def grad(x):
+        q, pp = x[:6], x[6:]
+        v = np.concatenate([al[0, 0] * pp[:3] + al[0, 1] * pp[3:],
+                            al[0, 1] * pp[:3] + al[1, 1] * pp[3:]])
+        return np.concatenate([gv + Omega * (ahat @ pp),
+                               v - Omega * (ahat @ q)])
+
+    return grad
+
+
+def reference_sphere_jacobian(x):
+    q1, q2, p1, p2 = x[:3], x[3:6], x[6:9], x[9:12]
+    G = np.zeros((4, 12))
+    G[0, :3] = 2.0 * q1
+    G[1, 3:6] = 2.0 * q2
+    G[2, :3] = p1
+    G[2, 6:9] = q1
+    G[3, 3:6] = p2
+    G[3, 9:12] = q2
+    return G
+
+
+def reference_full_jacobian(slc):
+    ahat = np.kron(np.eye(2), AZ)
+
+    def jacobian(x):
+        G = np.zeros((6, 12))
+        G[:4] = reference_sphere_jacobian(x)
+        G[4, :6] = -ahat @ x[6:]
+        G[4, 6:] = ahat @ x[:6]
+        G[5] = slc.W[0]
+        return G
+
+    return jacobian
+
+
+def reference_field(gradient, constraint_jacobian):
+    """The closed-form Dirac field with C y = G X_H solved by
+    np.linalg.solve."""
+    def field(x):
+        Xf = J_apply(gradient(x))
+        G = constraint_jacobian(x)
+        XG = np.concatenate([G[:, 6:], -G[:, :6]], axis=1)
+        y = np.linalg.solve(G @ XG.T, G @ Xf)
+        return Xf - y @ XG
+
+    return field
+
+
+def test_field_callable_matches_numpy_reference_bit_for_bit():
+    # Python-float gradients and Jacobians and the gesv solve give the
+    # numpy array formulas bit for bit, on the 4- and 6-constraint sets
+    p = DspParams()
+    re = dsp_equilibria(p, 2, omega=1.0)
+    slc = dsp_slice(p, re)
+    sets = [(dsp_sphere_callables().jacobian, reference_sphere_jacobian),
+            (dsp_full_callables(slc).jacobian, reference_full_jacobian(slc))]
+    rng = np.random.default_rng(74)
+    points = re.x0 + 1e-2 * rng.standard_normal((200, 12))
+    for Omega in (0.0, re.Omega):
+        for jac, ref_jac in sets:
+            X = dirac_field_callable(dsp_gradient(p, Omega), jac)
+            X_ref = reference_field(reference_dsp_gradient(p, Omega),
+                                    ref_jac)
+            for z in points:
+                assert np.array_equal(X(z), X_ref(z))
+
+
+def test_field_callable_refuses_vanishing_constraint_matrix():
+    # two constraints in q only commute: C = 0, no second-class set
+    cs = CallableConstraints(lambda x: x[:2],
+                             lambda x: np.eye(2, 4), 2)
+    X = dirac_field_callable(lambda x: x, cs.jacobian)
+    with pytest.raises(RuntimeError, match="second-class"):
+        X(np.array([0.1, 0.2, 0.3, 0.4]))

@@ -1,8 +1,6 @@
 """Tests for the integrators, conservation monitoring, flow comparison
 and the bracket-level near-integrability check."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -25,10 +25,13 @@ from mdirac.models import (
     dsp_action,
     dsp_case_configuration,
     dsp_equilibria,
+    dsp_full_callables,
+    dsp_gradient,
     dsp_hamiltonian,
     dsp_locked_inertia,
     dsp_pipeline,
     dsp_slice,
+    dsp_sphere_callables,
     dsp_spheres,
     ks_model,
     moser_filter_integrals,
@@ -308,6 +311,38 @@ def test_pipeline_records_refusal_at_degenerate_case():
     assert "normal_form_error" in out
     assert "nf_chart" not in out
     assert out["intertwining"]["passed"]
+
+
+def test_closed_form_gradient_matches_polynomial():
+    # dsp_gradient(p, Omega) is grad(H - Omega J), with gravity and with
+    # the case-2 spin rate
+    re = dsp_equilibria(UNIT, 2, omega=1.0)
+    J_poly = dsp_action().momentum_polys()[0]
+    rng = np.random.default_rng(81)
+    points = rng.standard_normal((20, 12))
+    for p in (UNIT, DspParams(m1=1.3, m2=0.7, l1=0.9, l2=1.1, g=9.81)):
+        _, H_poly = dsp_hamiltonian(p)
+        for Omega in (0.0, re.Omega):
+            H_om = SmoothMap.from_poly(H_poly - Omega * J_poly)
+            grad = dsp_gradient(p, Omega)
+            for x in points:
+                np.testing.assert_allclose(grad(x), H_om.gradient(x),
+                                           rtol=0, atol=1e-13)
+
+
+def test_closed_form_constraints_match_polynomial_sets():
+    re = dsp_equilibria(UNIT, 2, omega=1.0)
+    slc = dsp_slice(UNIT, re)
+    rng = np.random.default_rng(82)
+    points = re.x0 + 0.5 * rng.standard_normal((20, 12))
+    for fast, cs in ((dsp_sphere_callables(), dsp_spheres()),
+                     (dsp_full_callables(slc), slc.full_constraints)):
+        assert fast.k == cs.k
+        for x in points:
+            np.testing.assert_allclose(fast.values(x), cs.values(x),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(fast.jacobian(x), cs.jacobian(x),
+                                       rtol=0, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
