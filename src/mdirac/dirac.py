@@ -223,7 +223,7 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
     """
     ctx.require_second_class()
     b = ctx.XG @ ctx.gradient(H)               # {H, phi_i}
-    return scipy.linalg.solve(ctx.C.T, b)
+    return _solve_square(ctx.C.T, b)
 
 
 def dirac_field_callable(gradient, constraint_jacobian):
@@ -411,9 +411,10 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
 def _solve_square(A, b):
     """A^-1 b by LAPACK's gesv (LU with partial pivoting), which is
     np.linalg.solve(A, b) bit for bit, and getrf then getrs as in
-    scipy.linalg.lu_factor/lu_solve, without their per-call overhead.
-    A is a constraint matrix C; RuntimeError when it is exactly
-    singular, that is, when the set is not second-class at the point."""
+    scipy.linalg.lu_factor/lu_solve and scipy.linalg.solve, without
+    their per-call overhead.  A is a constraint matrix C or its
+    transpose; RuntimeError when it is exactly singular, that is, when
+    the set is not second-class at the point."""
     _, _, y, info = scipy.linalg.lapack.dgesv(A, b)
     if info != 0:
         raise RuntimeError("constraint matrix C is singular: the constraint "

@@ -626,9 +626,12 @@ def _neumann_callables() -> CallableConstraints:
         return np.array([0.5 * (q @ q - 1.0), q @ p])
 
     def jacobian(x):
-        q0, q1, q2, p0, p1, p2 = x.tolist()
-        return np.array([[q0, q1, q2, 0.0, 0.0, 0.0],
-                         [p0, p1, p2, q0, q1, q2]])
+        q, p = x[:3], x[3:]
+        G = np.zeros((2, 6))
+        G[0, :3] = q
+        G[1, :3] = p
+        G[1, 3:] = q
+        return G
 
     return CallableConstraints(values, jacobian, 2)
 
@@ -655,12 +658,7 @@ def _run_neumann_flow(cfg: ExperimentConfig, checks: CheckSet):
 
     # long projected run with the closed-form constrained field
     fast = _neumann_callables()
-    a0, a1, a2 = np.diag(A).tolist()
-
-    def grad(x):
-        q0, q1, q2, p0, p1, p2 = x.tolist()
-        return np.array([a0 * q0, a1 * q1, a2 * q2, p0, p1, p2])
-
+    grad = lambda x: np.concatenate([A @ x[:3], x[3:]])
     XD = dirac_field_callable(grad, fast.jacobian)
     energy = lambda x: float(0.5 * (x[3:] @ x[3:] + x[:3] @ (A @ x[:3])))
     residual = lambda x: float(np.max(np.abs(fast.values(x))))
@@ -694,12 +692,7 @@ def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
 
     # conserved mode energies along the constrained flow
     w2 = w ** 2
-    c0, c1, c2 = w2.tolist()
-
-    def grad(x):
-        q0, q1, q2, p0, p1, p2 = x.tolist()
-        return np.array([c0 * q0, c1 * q1, c2 * q2, p0, p1, p2])
-
+    grad = lambda x: np.concatenate([w2 * x[:3], x[3:]])
     jac = np.zeros((2, 6))
     jac[0, 2] = 1.0
     jac[1, 5] = 1.0

@@ -174,6 +174,23 @@ def test_context_inverse_matches_lu_factor_bit_for_bit():
             assert np.array_equal(ctx.C_inv, want)
 
 
+def test_moser_multipliers_match_scipy_solve_bit_for_bit():
+    # the multipliers solve C^T lambda = {H, phi} by the same gesv kernel;
+    # scipy.linalg.solve is getrf + getrs too, bit for bit
+    rng = np.random.default_rng(79)
+    x = [TruncatedPoly.variable(i, 12, 3) for i in range(12)]
+    H = SmoothMap.from_poly(0.5 * (x[0] * x[0] + x[7] * x[7])
+                            + x[1] * x[6] * x[11] - 2.0 * x[4] * x[9])
+    for k in (2, 4, 6):
+        for _ in range(100):
+            G = rng.standard_normal((k, 12))
+            ctx = DiracContext(CallableConstraints(None, lambda x: G, k),
+                               rng.standard_normal(12))
+            b = ctx.XG @ ctx.gradient(H)
+            want = scipy.linalg.solve(ctx.C.T, b)
+            assert np.array_equal(moser_multipliers(H, ctx), want)
+
+
 def test_classify_sphere_pair_second_class():
     cs = sphere_pair()
     rng = np.random.default_rng(11)
