@@ -264,11 +264,6 @@ def _form_defect(W, through_degree: int) -> float:
     return worst
 
 
-def chart_symplectic_defect(chart: ChartSeries, through_degree: int) -> float:
-    """Largest coefficient of W - J0 in degrees 0..through_degree."""
-    return _form_defect(pullback_form(chart), through_degree)
-
-
 def darboux_flatten(chart: ChartSeries) -> ChartSeries:
     """Reparametrize the chart so the pulled-back form is canonical.
 
@@ -614,10 +609,6 @@ class HomologicalOperator:
             a, b = exp[:self.d], exp[self.d:]
             vals.append(self.eigenvalue(a, b))
         return np.array(vals)
-
-    def kernel_dimension(self) -> int:
-        """Number of eigenvalues of modulus below TAU_RES."""
-        return int(np.sum(np.abs(self.eigenvalues()) < TAU_RES))
 
 
 def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator):

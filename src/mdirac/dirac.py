@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import TruncatedPoly, StructuredStructure, poly_dot
-from .smooth import J_apply, SmoothMap
+from .smooth import J_apply, SmoothMap, canonical_swap
 
 #: rank / singular-value thresholds (scaled by the matrix norm)
 TAU_RANK = 1e-8
@@ -101,9 +101,12 @@ class ConstraintSet:
 
 
 def _constraint_fields(G) -> np.ndarray:
-    """Rows X_phi_i = J0 grad(phi_i) of stacked constraint gradients G."""
-    m = G.shape[1] // 2
-    return np.concatenate([G[:, m:], -G[:, :m]], axis=1)
+    """Rows X_phi_i = J0 grad(phi_i) of stacked constraint gradients G,
+    as a new C-ordered array."""
+    perm, sign = canonical_swap(G.shape[1])
+    XG = G.take(perm, axis=1)
+    XG *= sign
+    return XG
 
 
 class DiracContext:
@@ -115,8 +118,8 @@ class DiracContext:
     or a closed-form stand-in.  ``C_inv`` is None unless the set is
     second-class at the point (one gesv solve against the identity, the
     LU kernel ``dirac_field_callable`` uses).
-    Immutable after construction except for the gradient cache of
-    :meth:`gradient`, which only grows.
+    Immutable after construction except for the caches of
+    :meth:`gradient` and :meth:`bracket_vectors`, which only grow.
     """
 
     def __init__(self, cs, x):
@@ -129,6 +132,7 @@ class DiracContext:
         # ConstraintSet.jacobian stacks the constraint gradients, so its
         # rows are their gradients at x bit for bit
         self._gradients = {}
+        self._vectors = {}
         if isinstance(cs, ConstraintSet):
             for phi, row in zip(cs.constraints, G):
                 row.flags.writeable = False
@@ -140,10 +144,10 @@ class DiracContext:
             raise ValueError("constraint matrix lost antisymmetry (defect %g)"
                              % skew_defect)
         C = self.C = 0.5 * (C - C.T)
-        sv_G = scipy.linalg.svdvals(G)
+        sv_G = _singular_values(G)
         self.rank_dphi = int(np.sum(
             sv_G > TAU_RANK * max(1.0, sv_G[0] if sv_G.size else 0.0)))
-        sv_C = scipy.linalg.svdvals(C)
+        sv_C = _singular_values(C)
         smax = sv_C[0] if sv_C.size else 0.0
         smin = self.sigma_min = sv_C[-1] if sv_C.size else 0.0
         self.cond = (smax / smin) if smin > 0 else np.inf
@@ -168,6 +172,21 @@ class DiracContext:
             g = self._gradients[f] = f.gradient(self.x)
             g.flags.writeable = False
         return g
+
+    def bracket_vectors(self, f: SmoothMap):
+        """(grad f, J0 grad f, {f, phi_i}, {f, phi_i} C^ij) at x, formed
+        once per map object: {f, phi} = XG grad f, and the last is
+        ({f, phi}) C^-1.  The arrays are shared, so they are read-only.
+        Requires a second-class set."""
+        v = self._vectors.get(f)
+        if v is None:
+            self.require_second_class()
+            gf = self.gradient(f)
+            bf = self.XG @ gf
+            v = self._vectors[f] = (gf, J_apply(gf), bf, bf @ self.C_inv)
+            for a in v:
+                a.flags.writeable = False
+        return v
 
     def require_second_class(self):
         if self.classification != SECOND_CLASS:
@@ -198,21 +217,16 @@ def dirac_project(f: SmoothMap, ctx: DiracContext) -> np.ndarray:
 
     The result is tangent to N: d(phi_k) applied to it vanishes.
     """
-    ctx.require_second_class()
-    gf = ctx.gradient(f)
-    coef = (ctx.XG @ gf) @ ctx.C_inv           # {f, phi_i} C^ij
-    return J_apply(gf) - coef @ ctx.XG
+    _, Jf, _, coef = ctx.bracket_vectors(f)    # coef = {f, phi_i} C^ij
+    return Jf - coef @ ctx.XG
 
 
 def dirac_bracket(f: SmoothMap, g: SmoothMap, ctx: DiracContext) -> float:
     """{f, g}_D at ctx.x."""
-    ctx.require_second_class()
-    gf = ctx.gradient(f)
-    gg = ctx.gradient(g)
-    plain = float(gf @ J_apply(gg))
-    bf = ctx.XG @ gf               # {f, phi_i}
-    bg = -(ctx.XG @ gg)            # {phi_j, g} = -{g, phi_j}
-    return plain - float(bf @ ctx.C_inv @ bg)
+    gf, _, _, wf = ctx.bracket_vectors(f)     # wf = {f, phi_i} C^ij
+    _, Jg, bg, _ = ctx.bracket_vectors(g)     # bg = {g, phi_j}
+    # {f, g} - wf {phi_j, g}, with {phi_j, g} = -{g, phi_j}
+    return float(gf @ Jg) - float(wf @ -bg)
 
 
 def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
@@ -221,8 +235,7 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
     The modified field X_H - sum lambda_s X_{G_s} is tangent to N and
     coincides with dirac_project(H, ctx).
     """
-    ctx.require_second_class()
-    b = ctx.XG @ ctx.gradient(H)               # {H, phi_i}
+    b = ctx.bracket_vectors(H)[2]              # {H, phi_i}
     return _solve_square(ctx.C.T, b)
 
 
@@ -406,6 +419,21 @@ def singularity_diagnostics(cs: ConstraintSet, x) -> dict:
 # ----------------------------------------------------------------------
 # probe utilities
 # ----------------------------------------------------------------------
+
+
+def _singular_values(A):
+    """Singular values of A, largest first, by LAPACK's gesdd without
+    vectors: scipy.linalg.svdvals(A) bit for bit without its per-call
+    overhead.  Its refusals are kept: ValueError on non-finite input,
+    LinAlgError when gesdd fails."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    _, s, _, info = scipy.linalg.lapack.dgesdd(A, compute_uv=0,
+                                               full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge (gesdd info %d)"
+                                    % info)
+    return s
 
 
 def _solve_square(A, b):

@@ -431,10 +431,6 @@ def _sphere_pair_constraints() -> ConstraintSet:
         names=["sphere", "radial"])
 
 
-def _coord(i, n):
-    return SmoothMap.from_poly(TruncatedPoly.variable(i, n, 2))
-
-
 def _run_sphere_dirac(cfg: ExperimentConfig, checks: CheckSet):
     num = cfg.num
     rng = np.random.default_rng(cfg.seed)
@@ -454,19 +450,20 @@ def _run_sphere_dirac(cfg: ExperimentConfig, checks: CheckSet):
     checks.bound("sphere_tangency", tangency, 1e-9)
 
     # closed-form sphere brackets at the same probes
+    x6 = [SmoothMap.from_poly(TruncatedPoly.variable(i, 6, 2))
+          for i in range(6)]
     err_qp = err_pp = err_qq = 0.0
     for x in probes:
         q, p = x[:3], x[3:]
         ctx = DiracContext(cs, x)
         for a in range(3):
             for b in range(3):
-                got = dirac_bracket(_coord(a, 6), _coord(3 + b, 6), ctx)
+                got = dirac_bracket(x6[a], x6[3 + b], ctx)
                 err_qp = max(err_qp, abs(
                     got - ((1.0 if a == b else 0.0) - q[a] * q[b])))
-                got = dirac_bracket(_coord(3 + a, 6), _coord(3 + b, 6), ctx)
+                got = dirac_bracket(x6[3 + a], x6[3 + b], ctx)
                 err_pp = max(err_pp, abs(got - (q[b] * p[a] - q[a] * p[b])))
-                err_qq = max(err_qq, abs(
-                    dirac_bracket(_coord(a, 6), _coord(b, 6), ctx)))
+                err_qq = max(err_qq, abs(dirac_bracket(x6[a], x6[b], ctx)))
     checks.bound("closed_form_qp", err_qp, 1e-12)
     checks.bound("closed_form_pp", err_pp, 1e-12)
     checks.bound("closed_form_qq", err_qq, 1e-12)

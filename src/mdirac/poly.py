@@ -12,6 +12,8 @@ position and index ``m + i`` is its conjugate momentum.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from typing import Iterable, Mapping
 
@@ -47,7 +49,7 @@ class TruncatedPoly:
         ``COEFF_TOL`` are pruned.
     """
 
-    __slots__ = ("n_vars", "max_degree", "terms")
+    __slots__ = ("n_vars", "max_degree", "terms", "_jets")
 
     def __init__(self, n_vars: int, max_degree: int,
                  terms: Mapping[tuple, float] | None = None):
@@ -71,6 +73,7 @@ class TruncatedPoly:
                 if abs(c) > COEFF_TOL:
                     clean[exp] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_jets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPoly is immutable")
@@ -257,11 +260,25 @@ class TruncatedPoly:
     # ------------------------------------------------------------------
 
     def eval(self, x) -> float:
-        return _on_floats(_eval_terms, self.terms, self._point(x))
+        return _on_floats(self._kernel(0), self._point(x))
 
     def gradient(self, x) -> np.ndarray:
-        return np.array(_on_floats(_gradient_terms, self.terms,
-                                   self._point(x)))
+        return np.array(_on_floats(self._kernel(1), self._point(x)))
+
+    def _kernel(self, i):
+        """The value (i = 0) or gradient (i = 1) kernel on a list of
+        reals: the loop over the terms on the first jet call, so a
+        polynomial evaluated once compiles nothing, and the compiled
+        pair from :func:`_compile_jets` from the second call on."""
+        jets = self._jets
+        if jets is None:
+            object.__setattr__(self, "_jets", False)
+            return functools.partial((_eval_terms, _gradient_terms)[i],
+                                     self.terms)
+        if jets is False:
+            jets = _compile_jets(self.terms, self.n_vars)
+            object.__setattr__(self, "_jets", jets)
+        return jets[i]
 
     def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -302,11 +319,6 @@ class TruncatedPoly:
             "max_degree": self.max_degree,
             "terms": [{"exp": list(e), "coef": c} for e, c in self.graded_items()],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncatedPoly":
-        terms = {tuple(t["exp"]): t["coef"] for t in d["terms"]}
-        return cls(d["n_vars"], d["max_degree"], terms)
 
     def __repr__(self):
         if not self.terms:
@@ -460,15 +472,49 @@ def _gradient_terms(terms, xs):
     return g
 
 
-def _on_floats(kernel, terms, x):
-    """kernel(terms, x) on Python floats, which do the same IEEE
-    operations as numpy scalars without boxing each one.  Float ``**``
-    raises OverflowError where a numpy scalar gives inf, so an overflow
-    reruns the kernel on numpy scalars."""
+def _factors(c, xs, exp):
+    """The float c times the powers of the variable names xs in exp, as
+    the loop kernels multiply them: left to right, x for a power one.
+    repr(c) reads back as the same double (``inf`` and ``nan`` are names
+    bound by _compile_jets)."""
+    return " * ".join([repr(c)] + [x if e == 1 else "%s ** %d" % (x, e)
+                                   for x, e in zip(xs, exp) if e])
+
+
+def _compile_jets(terms, n):
+    """Straight-line twins of _eval_terms and _gradient_terms for one
+    term dict: the same products in the same order, each sum starting
+    from 0.0 and c * ei folded to a constant, so every result is the
+    loops' bit for bit.  Each term is one ``+=`` statement, since a
+    chained sum of thousands of terms overflows the compiler's stack."""
+    xs = ["x%d" % i for i in range(n)]
+    value = ["t = 0.0"]
+    grad = ["g%d = 0.0" % i for i in range(n)]
+    for exp, c in terms.items():
+        value.append("t += " + _factors(c, xs, exp))
+        for i, ei in enumerate(exp):
+            if ei:
+                d = exp[:i] + (ei - 1,) + exp[i + 1:]
+                grad.append("g%d += %s" % (i, _factors(c * ei, xs, d)))
+    unpack = "    %s, = xs\n    " % ", ".join(xs)
+    src = ("def value(xs):\n" + unpack + "\n    ".join(value)
+           + "\n    return t\n"
+           "def gradient(xs):\n" + unpack + "\n    ".join(grad)
+           + "\n    return [%s]\n" % ", ".join("g%d" % i for i in range(n)))
+    scope = {"inf": math.inf, "nan": math.nan}
+    exec(compile(src, "<poly jets>", "exec"), scope)
+    return scope["value"], scope["gradient"]
+
+
+def _on_floats(kernel, x):
+    """kernel(x) on Python floats, which do the same IEEE operations as
+    numpy scalars without boxing each one.  Float ``**`` raises
+    OverflowError where a numpy scalar gives inf, so an overflow reruns
+    the kernel on numpy scalars."""
     try:
-        return kernel(terms, x.tolist())
+        return kernel(x.tolist())
     except OverflowError:
-        return kernel(terms, list(x))
+        return kernel(list(x))
 
 
 def compose_batch(polys, args):
@@ -547,8 +593,3 @@ def lie_transform(h: TruncatedPoly, gamma: TruncatedPoly,
         term = ps.bracket(term, gamma) * (1.0 / j)
         out = out + term
     return out
-
-
-def coeff_distance(a: TruncatedPoly, b: TruncatedPoly) -> float:
-    """Largest absolute coefficient of a - b (coefficient-wise metric)."""
-    return (a - b).max_abs_coeff()

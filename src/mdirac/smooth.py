@@ -17,16 +17,11 @@ so X_H = J0 grad(H) and {f, g} = grad(f)^T J0 grad(g), which gives
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .poly import TruncatedPoly
-
-def phase_point(coords) -> np.ndarray:
-    """Validate and return an ambient phase-space point."""
-    x = np.asarray(coords, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("phase point has non-finite entries")
-    return x
 
 
 def canonical_J(m: int) -> np.ndarray:
@@ -37,11 +32,25 @@ def canonical_J(m: int) -> np.ndarray:
     return J
 
 
+@functools.lru_cache(maxsize=None)
+def canonical_swap(n: int):
+    """The index permutation and +-1 signs with g[perm] * sign == J0 g
+    for g of length n, bit for bit: x * -1.0 is -x, signed zeros
+    included."""
+    m = n // 2
+    perm = np.r_[m:n, 0:m]
+    sign = np.r_[np.ones(n - m), -np.ones(m)]
+    perm.flags.writeable = sign.flags.writeable = False
+    return perm, sign
+
+
 def J_apply(g: np.ndarray) -> np.ndarray:
     """J0 @ g without building the matrix: (q-part, p-part) -> (p, -q)."""
     g = np.asarray(g, dtype=float)
-    m = g.size // 2
-    return np.concatenate([g[m:], -g[:m]])
+    perm, sign = canonical_swap(g.size)
+    out = g[perm]
+    out *= sign
+    return out
 
 
 class SmoothMap:

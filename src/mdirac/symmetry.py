@@ -88,13 +88,6 @@ class GroupAction:
         """xi_{i,M}(x) = A_i x."""
         return self.phase_generator(i) @ np.asarray(x, dtype=float)
 
-    def group_element(self, alpha) -> np.ndarray:
-        """exp(sum_i alpha_i A_i) on phase space."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        A = sum(alpha[i] * self.phase_generator(i)
-                for i in range(self.group_dim))
-        return scipy.linalg.expm(A)
-
     def momentum_polys(self):
         """J_i(q, p) = p . (a_i q) as ambient polynomials, truncated at
         poly.DEFAULT_MAX_DEGREE."""
@@ -114,14 +107,6 @@ class GroupAction:
                     terms[key] = terms.get(key, 0.0) + a[r, c]
             out.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms))
         return out
-
-
-def momentum_map(action: GroupAction, x) -> np.ndarray:
-    """Momentum components J_i(q,p) = p . xi_{i,Q}(q) of the lift."""
-    x = np.asarray(x, dtype=float)
-    m = action.config_dim
-    q, p = x[:m], x[m:]
-    return np.array([p @ (a @ q) for a in action.config_generators])
 
 
 class MomentumData:

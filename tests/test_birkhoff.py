@@ -12,9 +12,10 @@ from mdirac.birkhoff import (
     DarbouxFrame,
     HomologicalOperator,
     NearResonanceWarning,
+    TAU_RES,
+    _form_defect,
     birkhoff_normal_form,
     chart_series,
-    chart_symplectic_defect,
     darboux_flatten,
     darboux_frame,
     dirac_chart_structure,
@@ -31,11 +32,26 @@ from mdirac.poly import (
     CanonicalStructure,
     StructuredStructure,
     TruncatedPoly,
-    coeff_distance,
     poisson_bracket,
 )
 from mdirac.smooth import SmoothMap, canonical_J
 from mdirac.symmetry import GroupAction, MomentumData, build_slice
+
+
+def coeff_distance(a, b):
+    """Largest absolute coefficient of a - b."""
+    return (a - b).max_abs_coeff()
+
+
+def chart_symplectic_defect(chart, through_degree):
+    """Largest coefficient of W - J0 in degrees 0..through_degree."""
+    return _form_defect(pullback_form(chart), through_degree)
+
+
+def kernel_dimension(L):
+    """Number of eigenvalues of L of modulus below TAU_RES."""
+    return int(np.sum(np.abs(L.eigenvalues()) < TAU_RES))
+
 
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -270,13 +286,13 @@ def test_homological_kernel_one_dof_quadratic():
 def test_homological_kernel_one_dof_cubic_empty():
     L = HomologicalOperator([1.0], 3)
     assert kernel_dim_of_matrix(L.matrix()) == 0
-    assert L.kernel_dimension() == 0
+    assert kernel_dimension(L) == 0
 
 
 def test_homological_kernel_resonant_quartic():
     L = HomologicalOperator([1.0, 1.0], 4)
     assert kernel_dim_of_matrix(L.matrix()) == 9
-    assert L.kernel_dimension() == 9
+    assert kernel_dimension(L) == 9
 
 
 def test_homological_eigenvalue_multiset():

@@ -17,6 +17,8 @@ import scipy.linalg
 from mdirac.dirac import (
     ConstraintSet,
     DiracContext,
+    _constraint_fields,
+    _singular_values,
     classify,
     dirac_bracket,
     dirac_field_callable,
@@ -42,11 +44,13 @@ from mdirac.models import (
     dsp_sphere_callables,
     neumann_model,
 )
-from mdirac.poly import (
-    TruncatedPoly,
-    coeff_distance,
-)
+from mdirac.poly import TruncatedPoly
 from mdirac.smooth import J_apply, SmoothMap
+
+
+def coeff_distance(a, b):
+    """Largest absolute coefficient of a - b."""
+    return (a - b).max_abs_coeff()
 
 
 def sphere_pair(n=6, K=6):
@@ -189,6 +193,100 @@ def test_moser_multipliers_match_scipy_solve_bit_for_bit():
             b = ctx.XG @ ctx.gradient(H)
             want = scipy.linalg.solve(ctx.C.T, b)
             assert np.array_equal(moser_multipliers(H, ctx), want)
+
+
+def former_J(g):
+    """J0 g by slicing and concatenation, the former J_apply."""
+    m = g.size // 2
+    return np.concatenate([g[m:], -g[:m]])
+
+
+def former_bracket(f, g, ctx):
+    """{f, g}_D by the formulas that preceded the bracket-vector cache."""
+    gf, gg = f.gradient(ctx.x), g.gradient(ctx.x)
+    plain = float(gf @ former_J(gg))
+    bf = ctx.XG @ gf
+    bg = -(ctx.XG @ gg)
+    return plain - float(bf @ ctx.C_inv @ bg)
+
+
+def former_project(f, ctx):
+    """P_N(X_f) by the formulas that preceded the bracket-vector cache."""
+    gf = f.gradient(ctx.x)
+    coef = (ctx.XG @ gf) @ ctx.C_inv
+    return former_J(gf) - coef @ ctx.XG
+
+
+def random_maps(rng, n, count):
+    return [SmoothMap.from_poly(TruncatedPoly(n, 6, {
+        tuple(int(e) for e in rng.integers(0, 3, size=n)):
+        float(rng.standard_normal()) for _ in range(8)}))
+        for _ in range(count)]
+
+
+def assert_readers_match_former_formulas(ctx, fs):
+    for f in fs:
+        for g in fs:
+            assert dirac_bracket(f, g, ctx) == former_bracket(f, g, ctx)
+        assert np.array_equal(dirac_project(f, ctx), former_project(f, ctx))
+        # np.linalg.solve is the same gesv
+        assert np.array_equal(moser_multipliers(f, ctx), np.linalg.solve(
+            ctx.C.T, ctx.XG @ f.gradient(ctx.x)))
+
+
+def test_bracket_vectors_match_former_formulas_bit_for_bit():
+    full, x0 = case2_slice_set()
+    rng = np.random.default_rng(75)
+    fs = random_maps(rng, 12, 4) + full.constraints
+    for _ in range(4):
+        z = project_to_constraints(full, x0 + 1e-2 * rng.standard_normal(12))
+        assert_readers_match_former_formulas(DiracContext(full, z), fs)
+    fs = random_maps(rng, 12, 4)
+    for k in (2, 4, 6):
+        for _ in range(10):
+            G = rng.standard_normal((k, 12))
+            ctx = DiracContext(CallableConstraints(None, lambda x: G, k),
+                               rng.uniform(-1.0, 1.0, size=12))
+            assert_readers_match_former_formulas(ctx, fs)
+    gf, Jf, bf, wf = ctx.bracket_vectors(fs[0])
+    assert not any(a.flags.writeable for a in (gf, Jf, bf, wf))
+
+
+def test_constraint_fields_keep_signed_zeros():
+    G = np.array([[0.0, -0.0, 1.5, -0.0, 0.0, -2.0],
+                  [-0.0, 3.0, 0.0, 0.0, -1.0, -0.0]])
+    XG = _constraint_fields(G)
+    assert XG.flags.c_contiguous
+    assert XG.tobytes() == np.concatenate([G[:, 3:], -G[:, :3]],
+                                          axis=1).tobytes()
+
+
+def test_context_singular_values_match_svdvals_bit_for_bit():
+    rng = np.random.default_rng(76)
+    for shape in ((4, 12), (6, 12), (6, 6), (4, 4), (3, 6), (1, 2)):
+        for _ in range(100):
+            A = rng.standard_normal(shape)
+            assert np.array_equal(_singular_values(A),
+                                  scipy.linalg.svdvals(A))
+        A[-1] = A[0]                       # rank-deficient
+        assert np.array_equal(_singular_values(A), scipy.linalg.svdvals(A))
+    for k in (2, 4, 6):
+        G = rng.standard_normal((k, 12))
+        ctx = DiracContext(CallableConstraints(None, lambda x: G, k),
+                           np.zeros(12))
+        sv = scipy.linalg.svdvals(ctx.C)
+        assert ctx.sigma_min == sv[-1] and ctx.cond == sv[0] / sv[-1]
+
+
+def test_context_refuses_non_finite_constraint_matrix():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    # finite gradients whose brackets overflow: C is not finite
+    G = 1e200 * np.random.default_rng(77).standard_normal((2, 12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            DiracContext(CallableConstraints(None, lambda x: G, 2),
+                         np.zeros(12))
 
 
 def test_classify_sphere_pair_second_class():

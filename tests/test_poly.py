@@ -5,16 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from mdirac import poly
 from mdirac.poly import (
     COEFF_TOL,
     CanonicalStructure,
     StructuredStructure,
     TruncatedPoly,
-    coeff_distance,
     lie_transform,
     poisson_bracket,
     poly_dot,
 )
+
+
+def coeff_distance(a, b):
+    """Largest absolute coefficient of a - b."""
+    return (a - b).max_abs_coeff()
 
 
 def random_poly(rng, n_vars, degree, max_degree, density=0.4, scale=1.0):
@@ -213,6 +218,73 @@ def test_eval_and_gradient_match_reference_loop():
         f.eval([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="wrong length"):
         f.gradient([1.0])
+
+
+def assert_jets_match_reference(f, points):
+    """Value and gradient at each point equal the reference loops bit for
+    bit; the first call runs the loop kernel, every later one the
+    compiled kernels."""
+    for x in points:
+        assert f.eval(x) == reference_eval(f, x)
+        assert np.array_equal(f.gradient(x), reference_gradient(f, x))
+
+
+def test_jets_compile_on_second_call(monkeypatch):
+    compiled = []
+    compile_jets = poly._compile_jets
+
+    def counted(terms, n):
+        compiled.append(n)
+        return compile_jets(terms, n)
+
+    monkeypatch.setattr(poly, "_compile_jets", counted)
+    f = TruncatedPoly(3, 4, {(1, 0, 2): 0.75, (0, 1, 0): -2.0})
+    x = np.array([0.3, -1.2, 2.5])
+    assert f.eval(x) == reference_eval(f, x)
+    assert compiled == []
+    assert np.array_equal(f.gradient(x), reference_gradient(f, x))
+    assert compiled == [3]
+    for _ in range(3):
+        assert f.eval(x) == reference_eval(f, x)
+        assert np.array_equal(f.gradient(x), reference_gradient(f, x))
+    assert compiled == [3]
+
+
+def test_compiled_jets_match_reference_loop():
+    rng = np.random.default_rng(809)
+    polys = [TruncatedPoly.zero(4, 3), TruncatedPoly.constant(-2.5, 4, 3),
+             TruncatedPoly(1, 6, {(0,): 1.5, (1,): -0.25, (4,): 3.0}),
+             TruncatedPoly(2, 4, {(1, 0): np.inf, (0, 2): -1.5})]
+    for n in (1, 2, 6, 12):
+        for _ in range(5):
+            polys.append(TruncatedPoly(n, 8, {
+                tuple(int(e) for e in rng.integers(0, 4, size=n)):
+                float(rng.standard_normal()) for _ in range(25)}))
+    for f in polys:
+        assert_jets_match_reference(
+            f, rng.uniform(-2.0, 2.0, size=(4, f.n_vars)))
+
+
+def test_compiled_jets_overflow_to_inf():
+    # float ** raises OverflowError in the compiled kernels as in the
+    # loops, and the numpy-scalar rerun gives inf
+    f = TruncatedPoly(2, 6, {(2, 0): 1.0, (0, 3): -1.0, (1, 1): 0.5})
+    big = np.array([1e200, 1e20])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_jets_match_reference(f, [big, big, np.array([1.0, 2.0]), big])
+        assert f.eval(big) == np.inf
+
+
+def test_compiled_jets_of_many_terms():
+    # one statement per term: a single chained sum of this many terms
+    # overflows the compiler's stack
+    rng = np.random.default_rng(810)
+    exps = {tuple(int(e) for e in rng.integers(0, 7, size=6))
+            for _ in range(8000)}
+    f = TruncatedPoly(6, 36, {e: float(rng.standard_normal())
+                              for e in exps})
+    assert len(f.terms) >= 3000
+    assert_jets_match_reference(f, rng.uniform(-1.0, 1.0, size=(3, 6)))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +514,9 @@ def test_json_round_trip():
     rng = np.random.default_rng(606)
     p = random_poly(rng, 3, 3, 5)
     blob = json.dumps(p.to_json_dict())
-    q = TruncatedPoly.from_json_dict(json.loads(blob))
+    d = json.loads(blob)
+    q = TruncatedPoly(d["n_vars"], d["max_degree"],
+                      {tuple(t["exp"]): t["coef"] for t in d["terms"]})
     assert q.n_vars == p.n_vars and q.max_degree == p.max_degree
     assert coeff_distance(p, q) == 0.0
 

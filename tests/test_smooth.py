@@ -12,15 +12,7 @@ from mdirac.smooth import (
     fd_jet,
     hamiltonian_vector_field,
     J_apply,
-    phase_point,
 )
-
-
-def test_phase_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        phase_point([1.0, np.nan])
-    x = phase_point([1.0, 2.0])
-    assert x.dtype == float
 
 
 def test_canonical_J_blocks():
@@ -34,6 +26,12 @@ def test_J_apply_matches_matrix():
     rng = np.random.default_rng(5)
     g = rng.standard_normal(6)
     np.testing.assert_allclose(J_apply(g), canonical_J(3) @ g)
+
+
+def test_J_apply_keeps_signed_zeros():
+    g = np.array([0.0, -0.0, 2.0, -0.0, 0.0, -1.5])
+    want = np.concatenate([g[3:], -g[:3]])
+    assert J_apply(g).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
