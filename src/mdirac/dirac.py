@@ -11,7 +11,8 @@ which restricts the dynamics to the constraint manifold when the family
 is second-class (C invertible).  Pointwise, a ``DiracContext`` freezes
 the constraint geometry at x, and ``dirac_bracket``, ``dirac_project``
 and ``moser_multipliers`` read it; ``dirac_field_callable`` is the
-closed-form projected field for integrator inner loops.
+projected field of integrator inner loops, built from a gradient and a
+constraint Jacobian.
 ``dirac_structure_series`` gives a truncated-series version of the
 bracket around a point in ambient coordinates; the normal-form pipeline
 does not use it, but builds its chart-variable bracket with
@@ -54,6 +55,8 @@ class ConstraintSet:
     constraints : list of SmoothMap
         Scalar maps on a common ambient space; ``polys`` holds their
         polynomials in the same order, for the series Dirac structure.
+        Values and Jacobians go through one vector SmoothMap of
+        ``polys``, one jet kernel for the whole set.
     """
 
     def __init__(self, constraints, names=None):
@@ -70,6 +73,7 @@ class ConstraintSet:
         self.dim = dim
         self.k = len(constraints)
         self.polys = [c.polys[0] for c in constraints]
+        self._map = SmoothMap(self.polys)
         self.names = list(names) if names else ["phi%d" % i for i in range(self.k)]
 
     @classmethod
@@ -77,11 +81,12 @@ class ConstraintSet:
         return cls([SmoothMap.from_poly(p) for p in polys], names=names)
 
     def values(self, x) -> np.ndarray:
-        return np.array([c.value(x) for c in self.constraints])
+        """Constraint values, shape (k,)."""
+        return np.atleast_1d(self._map.value(x))
 
     def jacobian(self, x) -> np.ndarray:
         """Stacked constraint gradients, shape (k, dim)."""
-        return np.vstack([c.gradient(x) for c in self.constraints])
+        return self._map.jacobian(x)
 
     def centered_polys(self, x0, max_degree):
         """Polynomial forms recentred at x0 and truncated at max_degree:
@@ -114,10 +119,11 @@ class DiracContext:
     constraint fields XG (rows X_phi_i), C = G XG^T, its inverse and
     the class, each evaluated once.
 
-    ``cs`` is any object with ``jacobian(x)`` and ``k``: a ConstraintSet
-    or a closed-form stand-in.  ``C_inv`` is None unless the set is
-    second-class at the point (one gesv solve against the identity, the
-    LU kernel ``dirac_field_callable`` uses).
+    ``cs`` is any object with ``jacobian(x)`` and ``k``: a ConstraintSet,
+    or a ``models.CallableConstraints`` over one's values and Jacobian.
+    ``C_inv`` is None unless the set is second-class at the point (one
+    gesv solve against the identity, the LU kernel
+    ``dirac_field_callable`` uses).
     Immutable after construction except for the caches of
     :meth:`gradient` and :meth:`bracket_vectors`, which only grow.
     """
@@ -129,8 +135,8 @@ class DiracContext:
         if not np.all(np.isfinite(G)):
             raise ValueError("non-finite constraint gradients at x")
         self.G = G
-        # ConstraintSet.jacobian stacks the constraint gradients, so its
-        # rows are their gradients at x bit for bit
+        # the set's jet kernel runs each constraint's gradient statements,
+        # so the rows of G are their gradients at x bit for bit
         self._gradients = {}
         self._vectors = {}
         if isinstance(cs, ConstraintSet):
@@ -240,18 +246,20 @@ def moser_multipliers(H: SmoothMap, ctx: DiracContext) -> np.ndarray:
 
 
 def dirac_field_callable(gradient, constraint_jacobian):
-    """Fast closed-form twin of dirac_project for integrator inner loops.
+    """The field of dirac_project as a function of the point, for
+    integrator inner loops.
 
     gradient(x) is grad(H) and constraint_jacobian(x) the stacked
-    constraint gradients G; with the constraint fields XG of
+    constraint gradients G, such as ``SmoothMap.gradient`` and
+    ``ConstraintSet.jacobian``; with the constraint fields XG of
     DiracContext the projected field is
 
         X_D = X_H - XG^T C^{-1} G X_H,  X_H = J0 grad H,  C = G XG^T,
 
     which agrees with dirac_project pointwise at second-class points but
-    skips all SmoothMap plumbing and classification: one LAPACK gesv
-    solve per evaluation, RuntimeError where C is singular (the set is
-    not second-class at x).
+    builds no context, caches nothing and skips the classification: one
+    LAPACK gesv solve per evaluation, RuntimeError where C is singular
+    (the set is not second-class at x).
     """
     def _field(x):
         Xf = J_apply(gradient(x))

@@ -8,8 +8,8 @@ horizons are desk scale.  Fields and monitors are called as functions
 of the state: SmoothMaps (polynomial maps, callable as their value) or
 plain callables, such as a field from ``dirac.dirac_field_callable``.
 The constrained integrator only needs ``values``, ``jacobian`` and ``k``
-from its constraint argument, so a fast closed-form stand-in for a
-ConstraintSet (``models.CallableConstraints``) works too.  The start
+from its constraint argument, a ConstraintSet or a
+``models.CallableConstraints`` over one's values and Jacobian.  The start
 point is checked with a ``dirac.DiracContext``, and the post-step Newton
 projection ``project_onto_constraints`` is ``dirac.project_to_constraints``
 under the name this module looks up.

@@ -47,19 +47,15 @@ from .dirac import (
 from .symmetry import NotLocallyFreeError
 from .birkhoff import run_normal_form_report
 from .models import (
-    AZ,
-    CallableConstraints,
     DspParams,
     dsp_action,
     dsp_case_configuration,
     dsp_equilibria,
-    dsp_full_callables,
     dsp_gradient,
     dsp_hamiltonian,
     dsp_pipeline,
     dsp_slice,
     dsp_spheres,
-    dsp_sphere_callables,
     dsp_stationarity,
     ks_model,
     moser_filter_integrals,
@@ -357,8 +353,8 @@ def _dsp_field_agreement(p, re, slc, n_probes, radius, tilt, seed):
     fields of H_Omega, and the same gap for a tilted (non-invariant)
     Hamiltonian as the negative control."""
     grad = dsp_gradient(p, re.Omega)
-    jac6 = dsp_full_callables(slc).jacobian
-    jac4 = dsp_sphere_callables().jacobian
+    jac6 = slc.full_constraints.jacobian
+    jac4 = dsp_spheres().jacobian
     probes = sample_probes(slc.full_constraints, re.x0, n_probes, radius,
                            seed)
     w = np.zeros(12)
@@ -585,22 +581,18 @@ def _run_dsp_flow(cfg: ExperimentConfig, checks: CheckSet):
     num = cfg.num
     re = dsp_equilibria(p, 2, **kw)
     slc = dsp_slice(p, re)
-    base = dsp_sphere_callables()
-    full = dsp_full_callables(slc)
-    ahat = np.kron(np.eye(2), AZ)
-    momentum = lambda x: float(x[6:] @ (ahat @ x[:6]))
-    _, H_poly = dsp_hamiltonian(p)
-    energy = lambda x: H_poly.eval(x)
+    base = dsp_spheres()
+    full = slc.full_constraints
+    H, _ = dsp_hamiltonian(p)
+    momentum = SmoothMap.from_poly(dsp_action().momentum_polys()[0])
     residual = lambda x: float(np.max(np.abs(base.values(x))))
 
     # projected run of the lab-frame dynamics on the sphere constraints
-    z0 = sample_probes(slc.full_constraints, re.x0, 1,
-                       num["start_radius"], cfg.seed)[0]
-    X_lab = dirac_field_callable(dsp_gradient(p, 0.0), base.jacobian)
+    z0 = sample_probes(full, re.x0, 1, num["start_radius"], cfg.seed)[0]
+    X_lab = dirac_field_callable(H.gradient, base.jacobian)
     traj = integrate(X_lab, z0, T=num["T_project"], dt=num["dt"],
                      method="projected_rk4", constraints=base,
-                     monitors={"J": momentum, "H": energy,
-                               "phi": residual})
+                     monitors={"J": momentum, "H": H, "phi": residual})
     drift = conserved_monitor(traj, ("J", "H"))
     checks.bound("momentum_drift", drift["J"], 1e-8)
     checks.bound("energy_drift", drift["H"], 1e-8)
@@ -615,22 +607,6 @@ def _run_dsp_flow(cfg: ExperimentConfig, checks: CheckSet):
     checks.bound("flow_divergence", div, 1e-7)
     return ({"equilibrium": _equilibrium_summary(re)},
             {"dsp_flow.csv": _thin(traj)})
-
-
-def _neumann_callables() -> CallableConstraints:
-    def values(x):
-        q, p = x[:3], x[3:]
-        return np.array([0.5 * (q @ q - 1.0), q @ p])
-
-    def jacobian(x):
-        q, p = x[:3], x[3:]
-        G = np.zeros((2, 6))
-        G[0, :3] = q
-        G[1, :3] = p
-        G[1, 3:] = q
-        return G
-
-    return CallableConstraints(values, jacobian, 2)
 
 
 def _run_neumann_flow(cfg: ExperimentConfig, checks: CheckSet):
@@ -653,15 +629,12 @@ def _run_neumann_flow(cfg: ExperimentConfig, checks: CheckSet):
             fld - dirac_project(model.H, ctx)))))
     checks.bound("moser_vs_dirac", worst, 1e-10)
 
-    # long projected run with the closed-form constrained field
-    fast = _neumann_callables()
-    grad = lambda x: np.concatenate([A @ x[:3], x[3:]])
-    XD = dirac_field_callable(grad, fast.jacobian)
-    energy = lambda x: float(0.5 * (x[3:] @ x[3:] + x[:3] @ (A @ x[:3])))
-    residual = lambda x: float(np.max(np.abs(fast.values(x))))
+    # long projected run of the constrained field
+    XD = dirac_field_callable(model.H.gradient, cs.jacobian)
+    residual = lambda x: float(np.max(np.abs(cs.values(x))))
     traj = integrate(XD, x_ref, T=num["T"], dt=num["dt"],
-                     method="projected_rk4", constraints=fast,
-                     monitors={"H": energy, "phi": residual})
+                     method="projected_rk4", constraints=cs,
+                     monitors={"H": model.H, "phi": residual})
     checks.bound("energy_drift", conserved_monitor(traj, ["H"])["H"], 1e-8)
     checks.bound("constraint_residual",
                  float(np.max(traj.diagnostics["phi"])), 1e-10)
@@ -672,8 +645,9 @@ def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
     w = np.asarray(cfg.params["omega"])
     num = cfg.num
     model = separable_oscillator_model(w)
+    cs = model.constraints
     x0 = np.array([0.4, -0.2, 0.0, 0.1, 0.5, 0.0])
-    probes = sample_probes(model.constraints, x0, num["n_probes"],
+    probes = sample_probes(cs, x0, num["n_probes"],
                            num["probe_radius"], cfg.seed)
 
     filt = moser_filter_integrals(model, probes)
@@ -688,31 +662,20 @@ def _run_moser_separable(cfg: ExperimentConfig, checks: CheckSet):
         checks.flag("broken_pair_refused", True, detail=str(err))
 
     # conserved mode energies along the constrained flow
-    w2 = w ** 2
-    grad = lambda x: np.concatenate([w2 * x[:3], x[3:]])
-    jac = np.zeros((2, 6))
-    jac[0, 2] = 1.0
-    jac[1, 5] = 1.0
-    fast = CallableConstraints(lambda x: np.array([x[2], x[5]]),
-                               lambda x: jac, 2)
-    XD = dirac_field_callable(grad, fast.jacobian)
-    mode = lambda i: (lambda x: float(
-        0.5 * (w2[i] * x[i] ** 2 + x[3 + i] ** 2)))
+    modes = dict(zip(model.residual_names, model.residual_integrals()))
+    XD = dirac_field_callable(model.H.gradient, cs.jacobian)
     traj = integrate(XD, x0, T=num["T"], dt=num["dt"],
-                     method="projected_rk4", constraints=fast,
-                     monitors={"E1": mode(0), "E2": mode(1)})
-    drift = conserved_monitor(traj, ("E1", "E2"))
+                     method="projected_rk4", constraints=cs, monitors=modes)
+    drift = conserved_monitor(traj, model.residual_names)
     checks.bound("flow_drift", max(drift.values()), 1e-8)
 
     # flow residual of the integrals against the Dirac bracket, and the
     # bracket identity for an invariant coupling family
-    fns = {nm: SmoothMap.from_poly(pp)
-           for nm, pp in zip(model.residual_names, model.residual_polys)}
-    fns["F1"] = SmoothMap.from_poly(model.F_polys[0])
+    fns = dict(modes, F1=SmoothMap.from_poly(model.F_polys[0]))
     xv = lambda i: TruncatedPoly.variable(i, 6, DEFAULT_MAX_DEGREE)
     coupling = xv(0) * xv(0) * xv(1) * xv(1)
     rel = relatedness_check(lambda e: model.H_poly + e * coupling,
-                            model.constraints, fns, probes, num["eps"])
+                            cs, fns, probes, num["eps"])
     checks.bound("bracket_identity", rel["max_residual"], 1e-8)
     return {"flow_residuals": filt["flow_residuals"],
             "relatedness": rel["per_eps"]}, {}

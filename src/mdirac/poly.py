@@ -260,31 +260,18 @@ class TruncatedPoly:
     # ------------------------------------------------------------------
 
     def eval(self, x) -> float:
-        return _on_floats(self._kernel(0), self._point(x))
+        return self._kernel()(0, x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        return np.array(_on_floats(self._kernel(1), self._point(x)))
+        return np.array(self._kernel()(1, x)[0])
 
-    def _kernel(self, i):
-        """The value (i = 0) or gradient (i = 1) kernel on a list of
-        reals: the loop over the terms on the first jet call, so a
-        polynomial evaluated once compiles nothing, and the compiled
-        pair from :func:`_compile_jets` from the second call on."""
+    def _kernel(self) -> "JetKernel":
+        """The polynomial's jet kernel, made on its first jet call."""
         jets = self._jets
         if jets is None:
-            object.__setattr__(self, "_jets", False)
-            return functools.partial((_eval_terms, _gradient_terms)[i],
-                                     self.terms)
-        if jets is False:
-            jets = _compile_jets(self.terms, self.n_vars)
+            jets = JetKernel([self.terms], self.n_vars)
             object.__setattr__(self, "_jets", jets)
-        return jets[i]
-
-    def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_vars,):
-            raise ValueError("point has wrong length")
-        return x
+        return jets
 
     # ------------------------------------------------------------------
     # substitution
@@ -440,36 +427,82 @@ def poly_dot(u, v, zero):
     return zero if acc is None else acc
 
 
-def _eval_terms(terms, xs):
-    """Sum of the terms at the point xs, a list of reals."""
-    total = 0.0
-    for exp, c in terms.items():
-        m = c
-        for xi, e in zip(xs, exp):
-            if e == 1:
-                m *= xi
-            elif e:
-                m *= xi ** e
-        total += m
-    return total
+class JetKernel:
+    """Values and Jacobian rows of a list of polynomials, given as term
+    dicts in ``n_vars`` variables: ``kernel(0, x)`` is the list of
+    values at the point x and ``kernel(1, x)`` the list of gradient
+    rows.  The first call runs the loops over the terms, so a map
+    evaluated once compiles nothing; the second compiles the list with
+    :func:`_compile_jets`, whose pair serves every later call."""
+
+    __slots__ = ("dicts", "n_vars", "code")
+
+    def __init__(self, dicts, n_vars):
+        self.dicts = list(dicts)
+        self.n_vars = n_vars
+        self.code = None
+
+    def __call__(self, i, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_vars,):
+            raise ValueError("point has wrong length")
+        code = self.code
+        if code is None:
+            self.code = False
+            kernel = functools.partial((_eval_terms, _gradient_terms)[i],
+                                       self.dicts)
+        else:
+            if code is False:
+                code = self.code = _compile_jets(self.dicts, self.n_vars)
+            kernel = code[i]
+        # Python floats do the same IEEE operations as numpy scalars
+        # without boxing each one, but float ** raises OverflowError
+        # where a numpy scalar gives inf: an overflow reruns on numpy
+        # scalars
+        try:
+            return kernel(x.tolist())
+        except OverflowError:
+            return kernel(list(x))
 
 
-def _gradient_terms(terms, xs):
-    """The partial derivatives of the terms at xs, as a list."""
-    g = [0.0] * len(xs)
-    for exp, c in terms.items():
-        for i, ei in enumerate(exp):
-            if ei == 0:
-                continue
-            m = c * ei
-            for j, (xj, ej) in enumerate(zip(xs, exp)):
-                k = ej - 1 if j == i else ej
-                if k == 1:
-                    m *= xj
-                elif k:
-                    m *= xj ** k
-            g[i] += m
-    return g
+def _eval_terms(dicts, xs):
+    """The sum of the terms of each dict at the point xs, a list of
+    reals."""
+    out = []
+    for terms in dicts:
+        total = 0.0
+        for exp, c in terms.items():
+            m = c
+            for xi, e in zip(xs, exp):
+                if e == 1:
+                    m *= xi
+                elif e:
+                    m *= xi ** e
+            total += m
+        out.append(total)
+    return out
+
+
+def _gradient_terms(dicts, xs):
+    """The partial derivatives of the terms of each dict at xs, one list
+    per dict."""
+    out = []
+    for terms in dicts:
+        g = [0.0] * len(xs)
+        for exp, c in terms.items():
+            for i, ei in enumerate(exp):
+                if ei == 0:
+                    continue
+                m = c * ei
+                for j, (xj, ej) in enumerate(zip(xs, exp)):
+                    k = ej - 1 if j == i else ej
+                    if k == 1:
+                        m *= xj
+                    elif k:
+                        m *= xj ** k
+                g[i] += m
+        out.append(g)
+    return out
 
 
 def _factors(c, xs, exp):
@@ -481,40 +514,37 @@ def _factors(c, xs, exp):
                                    for x, e in zip(xs, exp) if e])
 
 
-def _compile_jets(terms, n):
-    """Straight-line twins of _eval_terms and _gradient_terms for one
-    term dict: the same products in the same order, each sum starting
-    from 0.0 and c * ei folded to a constant, so every result is the
-    loops' bit for bit.  Each term is one ``+=`` statement, since a
-    chained sum of thousands of terms overflows the compiler's stack."""
+def _compile_jets(dicts, n):
+    """Straight-line twins of _eval_terms and _gradient_terms for a list
+    of term dicts: the same products in the same order, each sum
+    starting from 0.0 and c * ei folded to a constant, so every result
+    is the loops' bit for bit.  Each term is one ``+=`` statement, since
+    a chained sum of thousands of terms overflows the compiler's
+    stack."""
     xs = ["x%d" % i for i in range(n)]
-    value = ["t = 0.0"]
-    grad = ["g%d = 0.0" % i for i in range(n)]
-    for exp, c in terms.items():
-        value.append("t += " + _factors(c, xs, exp))
-        for i, ei in enumerate(exp):
-            if ei:
-                d = exp[:i] + (ei - 1,) + exp[i + 1:]
-                grad.append("g%d += %s" % (i, _factors(c * ei, xs, d)))
+    value, grad, rows = [], [], []
+    for r, terms in enumerate(dicts):
+        g = ["0.0"] * n       # a partial no term reaches stays the literal
+        value.append("t%d = 0.0" % r)
+        for exp, c in terms.items():
+            value.append("t%d += %s" % (r, _factors(c, xs, exp)))
+            for i, ei in enumerate(exp):
+                if ei:
+                    if g[i] == "0.0":
+                        g[i] = "g%d_%d" % (r, i)
+                        grad.append(g[i] + " = 0.0")
+                    d = exp[:i] + (ei - 1,) + exp[i + 1:]
+                    grad.append("%s += %s" % (g[i], _factors(c * ei, xs, d)))
+        rows.append("[%s]" % ", ".join(g))
     unpack = "    %s, = xs\n    " % ", ".join(xs)
     src = ("def value(xs):\n" + unpack + "\n    ".join(value)
-           + "\n    return t\n"
-           "def gradient(xs):\n" + unpack + "\n    ".join(grad)
-           + "\n    return [%s]\n" % ", ".join("g%d" % i for i in range(n)))
+           + "\n    return [%s]\n" % ", ".join(
+               "t%d" % r for r in range(len(dicts)))
+           + "def gradient(xs):\n" + unpack + "\n    ".join(grad)
+           + "\n    return [%s]\n" % ", ".join(rows))
     scope = {"inf": math.inf, "nan": math.nan}
     exec(compile(src, "<poly jets>", "exec"), scope)
     return scope["value"], scope["gradient"]
-
-
-def _on_floats(kernel, x):
-    """kernel(x) on Python floats, which do the same IEEE operations as
-    numpy scalars without boxing each one.  Float ``**`` raises
-    OverflowError where a numpy scalar gives inf, so an overflow reruns
-    the kernel on numpy scalars."""
-    try:
-        return kernel(x.tolist())
-    except OverflowError:
-        return kernel(list(x))
 
 
 def compose_batch(polys, args):
@@ -539,9 +569,12 @@ def compose_batch(polys, args):
             raise ValueError("substitutions disagree on variable count")
     cap = min(a.max_degree for a in args)
     cap = min(cap, max(p.max_degree for p in polys))
-    one = TruncatedPoly.constant(1.0, n_out, cap)
-    zero_exp = (0,) * n_in
-    cache: dict[tuple, TruncatedPoly] = {zero_exp: one}
+    # the degree-one images are the arguments themselves, at the cap
+    cache: dict[tuple, TruncatedPoly] = {
+        (0,) * n_in: TruncatedPoly.constant(1.0, n_out, cap)}
+    for i, a in enumerate(args):
+        cache[tuple(int(j == i) for j in range(n_in))] = (
+            a if a.max_degree == cap else a.truncated(cap))
 
     def monomial_image(exp):
         hit = cache.get(exp)

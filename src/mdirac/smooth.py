@@ -1,10 +1,12 @@
 """Polynomial maps on ambient phase space with exact jets.
 
 A :class:`SmoothMap` is a scalar or vector map whose components are
-TruncatedPoly; its value, Jacobian and Hessian run the polynomial
-``eval``/``gradient`` kernels, so every jet is exact.  ``fd_jet`` is the
-one finite-difference Jacobian, of any callable: the oracle the tests
-and the hygiene audit compare the exact jets against.
+TruncatedPoly; its value and Jacobian are one call of the map's
+``poly.JetKernel``, made from all its components, and its Hessian runs
+the gradient kernels of the derivative polynomials, so every jet is
+exact.  ``fd_jet`` is the one finite-difference Jacobian, of any
+callable: the oracle the tests and the hygiene audit compare the exact
+jets against.
 
 Convention used everywhere: ambient coordinates are ordered
 (q_1..q_m, p_1..p_m) and the canonical matrix is
@@ -21,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .poly import TruncatedPoly
+from .poly import JetKernel, TruncatedPoly
 
 
 def canonical_J(m: int) -> np.ndarray:
@@ -74,8 +76,12 @@ class SmoothMap:
             raise ValueError("components disagree on variable count")
         self.domain_dim = n
         self.codomain_dim = len(self.polys)
-        self.derivatives = [[p.derivative(i) for i in range(n)]
-                            for p in self.polys]
+        self._jets = JetKernel([p.terms for p in self.polys], n)
+
+    @functools.cached_property
+    def derivatives(self):
+        return [[p.derivative(i) for i in range(self.domain_dim)]
+                for p in self.polys]
 
     @classmethod
     def from_poly(cls, polys) -> "SmoothMap":
@@ -85,22 +91,21 @@ class SmoothMap:
 
     def value(self, x):
         """Value at x: float for scalar maps, (codomain_dim,) array else."""
-        if self.codomain_dim == 1:
-            return float(self.polys[0].eval(x))
-        return np.array([p.eval(x) for p in self.polys])
+        v = self._jets(0, x)
+        return float(v[0]) if self.codomain_dim == 1 else np.array(v)
 
     __call__ = value
 
     def jacobian(self, x) -> np.ndarray:
-        """(codomain_dim, domain_dim) Jacobian at x, one gradient per
-        component."""
-        return np.array([p.gradient(x) for p in self.polys])
+        """(codomain_dim, domain_dim) Jacobian at x, the gradients of
+        the components as rows."""
+        return np.array(self._jets(1, x), dtype=float)
 
     def gradient(self, x) -> np.ndarray:
         """Gradient of a scalar map, shape (domain_dim,)."""
         if self.codomain_dim != 1:
             raise ValueError("gradient is defined for scalar maps only")
-        return self.jacobian(x).ravel()
+        return self.jacobian(x)[0]
 
     def hessian(self, x) -> np.ndarray:
         """Component Hessians, shape (codomain_dim, domain_dim, domain_dim).

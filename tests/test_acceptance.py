@@ -43,14 +43,12 @@ from mdirac.models import (
     dsp_action,
     dsp_case_configuration,
     dsp_equilibria,
-    dsp_full_callables,
     dsp_gradient,
     dsp_hamiltonian,
     dsp_locked_inertia,
     dsp_pipeline,
     dsp_slice,
     dsp_spheres,
-    dsp_sphere_callables,
     ks_model,
     moser_filter_integrals,
     neumann_model,
@@ -223,8 +221,8 @@ def test_criterion_04_field_level_twin(spin_cases):
     agree_all, neg_all = 0.0, np.inf
     for case, (p, re, slc) in spin_cases.items():
         grad = dsp_gradient(p, re.Omega)
-        jac6 = dsp_full_callables(slc).jacobian
-        jac4 = dsp_sphere_callables().jacobian
+        jac6 = slc.full_constraints.jacobian
+        jac4 = dsp_spheres().jacobian
         probes = sample_probes(slc.full_constraints, re.x0, 100, 1e-5,
                                400 + case)
         X6 = dirac_field_callable(grad, jac6)
@@ -340,8 +338,8 @@ def test_criterion_07_limiting_regimes():
 def test_criterion_08_conservation_and_flow(spin_cases):
     t0 = time.perf_counter()
     p, re, slc = spin_cases[2]
-    base = dsp_sphere_callables()
-    full = dsp_full_callables(slc)
+    base = dsp_spheres()
+    full = slc.full_constraints
     ahat = np.kron(np.eye(2), np.array([[0.0, -1.0, 0.0],
                                         [1.0, 0.0, 0.0],
                                         [0.0, 0.0, 0.0]]))

@@ -31,17 +31,17 @@ from mdirac.dirac import (
     sample_probes,
     singularity_diagnostics,
 )
+from mdirac.dynamics import integrate
 from mdirac.models import (
     AZ,
     CallableConstraints,
     DspParams,
     dsp_action,
     dsp_equilibria,
-    dsp_full_callables,
     dsp_gradient,
     dsp_hamiltonian,
     dsp_slice,
-    dsp_sphere_callables,
+    dsp_spheres,
     neumann_model,
 )
 from mdirac.poly import TruncatedPoly
@@ -138,14 +138,24 @@ def test_context_evaluates_each_gradient_once(monkeypatch):
         float(rng.standard_normal()) for _ in range(8)})) for _ in range(5)]
     calls = []
     jacobian = SmoothMap.jacobian
+    poly_gradients = []
+    poly_gradient = TruncatedPoly.gradient
 
     def counted(self, x):
         calls.append(self)
         return jacobian(self, x)
 
+    def counted_poly(self, x):
+        poly_gradients.append(self)
+        return poly_gradient(self, x)
+
     monkeypatch.setattr(SmoothMap, "jacobian", counted)
+    monkeypatch.setattr(TruncatedPoly, "gradient", counted_poly)
+    # G is one Jacobian of the set's vector map: one jet kernel call, no
+    # per-constraint map and no per-polynomial gradient
     ctx = DiracContext(full, z)
-    assert len(calls) == full.k
+    assert len(calls) == 1 and calls[0] not in full.constraints
+    assert poly_gradients == []
     calls.clear()
     for f in fs:
         for g in fs:
@@ -156,10 +166,13 @@ def test_context_evaluates_each_gradient_once(monkeypatch):
     for f in fs:
         dirac_project(f, ctx)
     assert len(calls) == len(fs)
-    # the cached constraint gradients are the rows of G, bit for bit
+    assert poly_gradients == []
+    # the cached constraint gradients are the rows of G, and each row is
+    # that constraint's own gradient, bit for bit
     for i, phi in enumerate(full.constraints):
-        assert np.array_equal(ctx.gradient(phi), jacobian(phi, z).ravel())
-        assert np.array_equal(ctx.gradient(phi), ctx.G[i])
+        own = jacobian(phi, z)[0]
+        assert ctx.gradient(phi).tobytes() == own.tobytes()
+        assert ctx.G[i].tobytes() == own.tobytes()
     assert not ctx.gradient(fs[0]).flags.writeable
 
 
@@ -734,7 +747,7 @@ def test_field_callable_matches_dirac_project_on_slice_set():
     J_poly = dsp_action().momentum_polys()[0]
     H_om = SmoothMap.from_poly(H_poly - re.Omega * J_poly)
     X = dirac_field_callable(dsp_gradient(p, re.Omega),
-                             dsp_full_callables(slc).jacobian)
+                             slc.full_constraints.jacobian)
     for z in sample_probes(slc.full_constraints, re.x0, 8, 1e-2, 61):
         want = dirac_project(H_om, DiracContext(slc.full_constraints, z))
         np.testing.assert_allclose(X(z), want, rtol=0, atol=1e-12)
@@ -798,13 +811,14 @@ def reference_field(gradient, constraint_jacobian):
 
 
 def test_field_callable_matches_numpy_reference_bit_for_bit():
-    # Python-float gradients and Jacobians and the gesv solve give the
-    # numpy array formulas bit for bit, on the 4- and 6-constraint sets
+    # the polynomial jets of H - Omega J and of the constraint sets and
+    # the gesv solve give the numpy array formulas bit for bit, on the
+    # 4- and 6-constraint sets
     p = DspParams()
     re = dsp_equilibria(p, 2, omega=1.0)
     slc = dsp_slice(p, re)
-    sets = [(dsp_sphere_callables().jacobian, reference_sphere_jacobian),
-            (dsp_full_callables(slc).jacobian, reference_full_jacobian(slc))]
+    sets = [(dsp_spheres().jacobian, reference_sphere_jacobian),
+            (slc.full_constraints.jacobian, reference_full_jacobian(slc))]
     rng = np.random.default_rng(74)
     points = re.x0 + 1e-2 * rng.standard_normal((200, 12))
     for Omega in (0.0, re.Omega):
@@ -814,6 +828,25 @@ def test_field_callable_matches_numpy_reference_bit_for_bit():
                                     ref_jac)
             for z in points:
                 assert np.array_equal(X(z), X_ref(z))
+
+
+def test_projected_flow_matches_numpy_reference_bit_for_bit():
+    # 400 projected RK4 steps from the benchmark's projected_flow start:
+    # the field through the polynomial jets and through the numpy
+    # reference formulas give the same states, bit for bit
+    p = DspParams()
+    re = dsp_equilibria(p, 2, omega=1.0)
+    slc = dsp_slice(p, re)
+    spheres = dsp_spheres()
+    offset = np.random.default_rng(1).standard_normal(12)
+    z0 = project_to_constraints(slc.full_constraints, re.x0 + 2e-5 * offset)
+    fields = [dirac_field_callable(dsp_gradient(p, 0.0), spheres.jacobian),
+              reference_field(reference_dsp_gradient(p, 0.0),
+                              reference_sphere_jacobian)]
+    runs = [integrate(X, z0, T=0.4, dt=1e-3, method="projected_rk4",
+                      constraints=spheres) for X in fields]
+    assert runs[0].states.shape == (401, 12)
+    assert np.array_equal(runs[0].states, runs[1].states)
 
 
 def test_field_callable_refuses_vanishing_constraint_matrix():

@@ -18,10 +18,9 @@ from mdirac.models import (
     CallableConstraints,
     DspParams,
     dsp_equilibria,
-    dsp_full_callables,
     dsp_gradient,
     dsp_slice,
-    dsp_sphere_callables,
+    dsp_spheres,
     neumann_model,
     separable_oscillator_model,
 )
@@ -203,8 +202,8 @@ def test_dsp_slice_flow_matches_manifold_flow():
     re = dsp_equilibria(p, 2, omega=1.0)
     slc = dsp_slice(p, re)
     grad = dsp_gradient(p, re.Omega)
-    X6 = dirac_field_callable(grad, dsp_full_callables(slc).jacobian)
-    X4 = dirac_field_callable(grad, dsp_sphere_callables().jacobian)
+    X6 = dirac_field_callable(grad, slc.full_constraints.jacobian)
+    X4 = dirac_field_callable(grad, dsp_spheres().jacobian)
     z = sample_probes(slc.full_constraints, re.x0, 1, 2e-5, 7)[0]
     assert flow_compare(X6, X4, z, T=1.0, dt=1e-3) < 5e-9
 
@@ -217,8 +216,8 @@ def test_dsp_flow_divergence_for_noninvariant_hamiltonian():
     w = np.zeros(12)
     w[1] = 1.0
     grad = lambda x: grad0(x) + 0.05 * w
-    X6 = dirac_field_callable(grad, dsp_full_callables(slc).jacobian)
-    X4 = dirac_field_callable(grad, dsp_sphere_callables().jacobian)
+    X6 = dirac_field_callable(grad, slc.full_constraints.jacobian)
+    X4 = dirac_field_callable(grad, dsp_spheres().jacobian)
     z = sample_probes(slc.full_constraints, re.x0, 1, 2e-5, 7)[0]
     assert flow_compare(X6, X4, z, T=1.0, dt=1e-3) > 1e-3
 

@@ -25,7 +25,6 @@ from mdirac.models import (
     dsp_action,
     dsp_case_configuration,
     dsp_equilibria,
-    dsp_full_callables,
     dsp_gradient,
     dsp_hamiltonian,
     dsp_locked_inertia,
@@ -338,18 +337,23 @@ def test_closed_form_gradient_matches_polynomial():
 
 
 def test_closed_form_constraints_match_polynomial_sets():
+    # dsp_sphere_callables is dsp_spheres' values and Jacobian, and the
+    # one jet kernel of a set gives each constraint's own value and
+    # gradient, bit for bit
     re = dsp_equilibria(UNIT, 2, omega=1.0)
     slc = dsp_slice(UNIT, re)
     rng = np.random.default_rng(82)
     points = re.x0 + 0.5 * rng.standard_normal((20, 12))
-    for fast, cs in ((dsp_sphere_callables(), dsp_spheres()),
-                     (dsp_full_callables(slc), slc.full_constraints)):
-        assert fast.k == cs.k
-        for x in points:
-            np.testing.assert_allclose(fast.values(x), cs.values(x),
-                                       rtol=0, atol=1e-13)
-            np.testing.assert_allclose(fast.jacobian(x), cs.jacobian(x),
-                                       rtol=0, atol=1e-13)
+    fast, spheres = dsp_sphere_callables(), dsp_spheres()
+    assert fast.k == spheres.k == 4
+    for x in points:
+        assert np.array_equal(fast.values(x), spheres.values(x))
+        assert np.array_equal(fast.jacobian(x), spheres.jacobian(x))
+        for cs in (spheres, slc.full_constraints):
+            phis = cs.constraints
+            assert np.array_equal(cs.values(x), [f.value(x) for f in phis])
+            assert np.array_equal(cs.jacobian(x),
+                                  [f.gradient(x) for f in phis])
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,53 @@ def test_compose_against_pointwise_eval():
         assert comp.eval(u) == pytest.approx(f.eval(inner), rel=1e-10, abs=1e-10)
 
 
+def former_compose_batch(polys, args):
+    """compose_batch as it was with every degree-one image formed as the
+    product 1 * args[i]."""
+    n_out = args[0].n_vars
+    cap = min(min(a.max_degree for a in args),
+              max(p.max_degree for p in polys))
+    cache = {(0,) * len(args): TruncatedPoly.constant(1.0, n_out, cap)}
+
+    def image(exp):
+        if exp not in cache:
+            i = next(k for k, e in enumerate(exp) if e)
+            prev = list(exp)
+            prev[i] -= 1
+            cache[exp] = image(tuple(prev)) * args[i]
+        return cache[exp]
+
+    zero = TruncatedPoly.zero(n_out, cap)
+    return [poly_dot([c for _, c in p.graded_items()],
+                     [image(e) for e, _ in p.graded_items()], zero)
+            for p in polys]
+
+
+def test_compose_batch_multiplies_by_no_constant_one(monkeypatch):
+    # the degree-one images are the arguments at the cap, not products
+    # with the constant 1; the result is the former one, key order too
+    rng = np.random.default_rng(811)
+    polys = [random_poly(rng, 3, 3, 6) for _ in range(2)]
+    assert any(p.homogeneous_part(1).terms for p in polys)
+    args = [random_poly(rng, 4, 2, K, density=0.6) for K in (5, 6, 4)]
+    want = former_compose_batch(polys, args)
+    ones = []
+    mul = TruncatedPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, TruncatedPoly):
+            ones.extend(f for f in (a, b)
+                        if f.terms == {(0,) * f.n_vars: 1.0})
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedPoly, "__mul__", counted)
+    got = poly.compose_batch(polys, args)
+    assert ones == []
+    for g, w in zip(got, want):
+        assert g.max_degree == w.max_degree == 4
+        assert list(g.terms.items()) == list(w.terms.items())
+
+
 def test_shifted_recenters():
     rng = np.random.default_rng(7)
     f = random_poly(rng, 3, 3, 6)

@@ -11,7 +11,7 @@ import mdirac
 MAX_SETTABLE_PARAMETERS = 28
 
 #: lines of the package source, src/mdirac/*.py
-MAX_PACKAGE_LINES = 4593
+MAX_PACKAGE_LINES = 4536
 
 
 def _settable_parameters():

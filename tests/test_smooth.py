@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from mdirac import poly
+from mdirac.dirac import ConstraintSet
 from mdirac.models import DspParams, dsp_equilibria, dsp_slice
 from mdirac.poly import TruncatedPoly
 from mdirac.smooth import (
@@ -214,20 +216,120 @@ def _random_poly(rng, n, K=6):
 
 
 def test_jacobian_is_one_gradient_per_component(monkeypatch):
+    # a set's Jacobian is one call of its vector map's jet kernel: no
+    # per-polynomial eval or gradient, and row i is constraint i's own
+    # gradient, bit for bit
     p = DspParams()
     full = dsp_slice(p, dsp_equilibria(p, 2, omega=1.0)).full_constraints
     assert full.k == 6
     x = np.random.default_rng(3).standard_normal(full.dim)
-    calls = {"eval": 0, "gradient": 0}
-    for name in calls:
-        kernel = getattr(TruncatedPoly, name)
+    calls = {"eval": 0, "gradient": 0, "jacobian": 0}
+    for owner, name in ((TruncatedPoly, "eval"), (TruncatedPoly, "gradient"),
+                        (SmoothMap, "jacobian")):
+        kernel = getattr(owner, name)
 
         def counted(self, y, _kernel=kernel, _name=name):
             calls[_name] += 1
             return _kernel(self, y)
-        monkeypatch.setattr(TruncatedPoly, name, counted)
-    full.jacobian(x)
-    assert calls == {"eval": 0, "gradient": 6}
+        monkeypatch.setattr(owner, name, counted)
+    G = full.jacobian(x)
+    assert calls == {"eval": 0, "gradient": 0, "jacobian": 1}
+    assert G.shape == (6, full.dim)
+    for phi, row in zip(full.polys, G):
+        assert row.tobytes() == phi.gradient(x).tobytes()
+
+
+def assert_same_bits(a, b):
+    """Equal arrays, nan included, with equal sign bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_map_matches_components(m, points):
+    """The map's value and Jacobian equal its components' eval and
+    gradient, bit for bit; the map's first call runs the term loops and
+    every later one its compiled kernel."""
+    for x in points:
+        want = [p.eval(x) for p in m.polys]
+        assert_same_bits(m.value(x), want if m.codomain_dim > 1 else want[0])
+        assert_same_bits(m.jacobian(x), [p.gradient(x) for p in m.polys])
+
+
+def test_map_kernel_matches_components_bit_for_bit():
+    rng = np.random.default_rng(78)
+    signed = [0.0, -0.0, 1.5, -2.0]
+    for n in (1, 2, 6, 12):
+        for k in (1, 3, 6):
+            ps = [_random_poly(rng, n) for _ in range(k)]
+            if k > 1:
+                ps[1] = TruncatedPoly.zero(n, 6)
+            points = list(rng.uniform(-2.0, 2.0, size=(4, n)))
+            points.append(np.array([signed[i % 4] for i in range(n)]))
+            assert_map_matches_components(SmoothMap.from_poly(ps), points)
+    # an inf coefficient reaches the compiled kernel as the name inf
+    m = SmoothMap.from_poly([TruncatedPoly(2, 4, {(1, 0): np.inf,
+                                                  (0, 2): -1.5}),
+                             TruncatedPoly.variable(1, 2, 4)])
+    with np.errstate(invalid="ignore"):
+        assert_map_matches_components(m, rng.uniform(0.5, 2.0, size=(4, 2)))
+
+
+def test_map_kernel_overflow_reruns_on_numpy_scalars():
+    # float ** past the double range raises OverflowError; the whole map
+    # then reruns on numpy scalars and gives inf, as each component does
+    m = SmoothMap.from_poly([TruncatedPoly(2, 6, {(2, 0): 1.0, (0, 3): -1.0}),
+                             TruncatedPoly(2, 6, {(1, 1): 0.5, (0, 1): 2.0})])
+    big = np.array([1e200, 1e20])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_map_matches_components(m, [big, big, np.array([1.0, 2.0]),
+                                          big])
+        assert m.value(big)[0] == np.inf
+
+
+def test_map_kernel_of_many_terms():
+    # more than 3,000 terms across the components, one statement each
+    rng = np.random.default_rng(79)
+    ps = []
+    for _ in range(3):
+        exps = {tuple(int(e) for e in rng.integers(0, 7, size=6))
+                for _ in range(2000)}
+        ps.append(TruncatedPoly(6, 36, {e: float(rng.standard_normal())
+                                        for e in exps}))
+    assert sum(len(p.terms) for p in ps) > 3000
+    assert_map_matches_components(SmoothMap.from_poly(ps),
+                                  rng.uniform(-1.0, 1.0, size=(3, 6)))
+
+
+def test_map_kernel_compiles_on_second_call(monkeypatch):
+    compiled = []
+    compile_jets = poly._compile_jets
+
+    def counted(dicts, n):
+        compiled.append(len(dicts))
+        return compile_jets(dicts, n)
+
+    monkeypatch.setattr(poly, "_compile_jets", counted)
+    rng = np.random.default_rng(80)
+    m = SmoothMap.from_poly([_random_poly(rng, 4) for _ in range(3)])
+    x = rng.standard_normal(4)
+    first = m.jacobian(x)
+    assert compiled == []
+    assert np.array_equal(m.jacobian(x), first)
+    assert compiled == [3]
+    for _ in range(3):
+        m.value(x)
+        assert np.array_equal(m.jacobian(x), first)
+    assert compiled == [3]
+
+
+def test_one_constraint_set_values_shape():
+    cs = ConstraintSet.from_polys([TruncatedPoly.variable(0, 4, 2) - 1.0])
+    x = np.array([3.0, 0.0, 0.0, 0.0])
+    assert cs.values(x).shape == (1,)
+    assert cs.values(x)[0] == 2.0
+    assert cs.jacobian(x).shape == (1, 4)
 
 
 def test_jets_match_per_derivative_evaluation_bit_for_bit():
