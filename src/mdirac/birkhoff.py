@@ -172,17 +172,9 @@ class ChartSeries:
         """Chart components including the base point offsets."""
         return [p + float(c) for p, c in zip(self.map, self.frame.x0)]
 
-    def truncated(self, K: int) -> "ChartSeries":
-        out = np.array([p.truncated(K) for p in self.map], dtype=object)
-        trans = None
-        if self.transition is not None:
-            trans = [p.truncated(K) for p in self.transition]
-        return ChartSeries(frame=self.frame, map=out, K=K,
-                           parent=self.parent, transition=trans)
-
 
 def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
-                 K: int = 6) -> ChartSeries:
+                 K: int) -> ChartSeries:
     """Solve phi(x0 + V u + grad-complement corrections) = 0 per degree,
     with x0 = frame.x0.
 
@@ -227,12 +219,8 @@ def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
     return ChartSeries(frame=frame, map=np.array(xi, dtype=object), K=K)
 
 
-def pullback_form(chart: ChartSeries) -> np.ndarray:
-    """Matrix of the pulled-back symplectic form, W = Dpsi^T J0 Dpsi."""
-    return _pullback_form_of(chart.map, chart.K)
-
-
 def _pullback_form_of(psi, K: int) -> np.ndarray:
+    """Matrix of the pulled-back symplectic form, W = Dpsi^T J0 Dpsi."""
     n = len(psi)
     m = n // 2
     r = psi[0].n_vars
@@ -344,9 +332,8 @@ def transport_structure(ps: StructuredStructure,
 
 
 def dirac_chart_structure(cs: ConstraintSet, chart: ChartSeries,
-                          max_degree: int | None = None
-                          ) -> StructuredStructure:
-    """Dirac bracket of the chart coordinates, as polynomials in u.
+                          K: int) -> StructuredStructure:
+    """Dirac bracket of the chart coordinates, degree-K polynomials in u.
 
     For a raw chart the nonlinear corrections stay in the constraint-
     gradient complement, so the chart inverse is the linear dual map
@@ -361,9 +348,8 @@ def dirac_chart_structure(cs: ConstraintSet, chart: ChartSeries,
     constraint set is expanded about the chart's ``frame.x0``.
     """
     x0 = chart.frame.x0
-    K = chart.K if max_degree is None else max_degree
     if chart.transition is not None:
-        base = dirac_chart_structure(cs, chart.parent, max_degree=K)
+        base = dirac_chart_structure(cs, chart.parent, K)
         return transport_structure(base, chart.transition)
     V = chart.frame.basis
     n, r = V.shape
@@ -501,18 +487,6 @@ def quadratic_matrix(H2: TruncatedPoly) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _monomials_of_degree(n_vars: int, k: int):
-    out = []
-    for cuts in itertools.combinations(range(k + n_vars - 1), n_vars - 1):
-        prev = -1
-        exp = []
-        for c in list(cuts) + [k + n_vars - 1]:
-            exp.append(c - prev - 1)
-            prev = c
-        out.append(tuple(exp))
-    return sorted(out)
-
-
 def _pairwise_basis_change(coeffs, d: int, factor) -> dict:
     """Re-expand coefficient data pair by pair between the (Q, P) and
     (z, zbar) monomial bases.
@@ -571,62 +545,27 @@ def _complex_to_real(cd: dict, d: int, max_degree: int) -> TruncatedPoly:
     return TruncatedPoly(2 * d, max_degree, terms)
 
 
-class HomologicalOperator:
-    """The map f -> {H2, f} on homogeneous polynomials of one degree.
-
-    Diagonal in the complexified monomial basis with eigenvalue
-    i sum_j eta_j (a_j - b_j) on z^a zbar^b.
-    """
-
-    def __init__(self, eta, k: int):
-        self.eta = np.asarray(eta, dtype=float)
-        self.k = int(k)
-        self.d = self.eta.size
-        self.n = 2 * self.d
-        self.basis = _monomials_of_degree(self.n, self.k)
-        self.index = {e: i for i, e in enumerate(self.basis)}
-
-    def eigenvalue(self, a, b) -> complex:
-        return 1j * float(np.dot(self.eta, np.asarray(a) - np.asarray(b)))
-
-    def matrix(self) -> np.ndarray:
-        """Dense real matrix in the monomial basis (column = image)."""
-        nb = len(self.basis)
-        H2 = oscillator_poly(self.eta, self.k)
-        ps = CanonicalStructure(self.d)
-        L = np.zeros((nb, nb))
-        for col, exp in enumerate(self.basis):
-            mono = TruncatedPoly.monomial(exp, 1.0, self.k)
-            img = ps.bracket(H2, mono)
-            for e, c in img.terms.items():
-                L[self.index[e], col] = c
-        return L
-
-    def eigenvalues(self) -> np.ndarray:
-        """Exact eigenvalue multiset from the complex bidegrees."""
-        vals = []
-        for exp in self.basis:
-            a, b = exp[:self.d], exp[self.d:]
-            vals.append(self.eigenvalue(a, b))
-        return np.array(vals)
-
-
-def split_resonant(Hk: TruncatedPoly, L: HomologicalOperator):
+def split_resonant(Hk: TruncatedPoly, eta):
     """Resonant/nonresonant split and homological solve at one degree.
 
-    Returns (H_res, H_nr, Gamma) with L Gamma = H_nr exactly on the
-    nonresonant eigenspaces and Gamma having no kernel component.
-    Eigenvalues below TAU_RES are resonant; those in (TAU_RES,
-    10 TAU_RES) trigger a small-divisor warning but are still inverted.
+    The homological operator L f = {H2, f}, H2 = oscillator_poly(eta),
+    is diagonal in the complexified monomial basis with eigenvalue
+    i sum_j eta_j (a_j - b_j) on z^a zbar^b.  Returns (H_res, H_nr,
+    Gamma) with L Gamma = H_nr exactly on the nonresonant eigenspaces
+    and Gamma having no kernel component.  Eigenvalues below TAU_RES are
+    resonant; those in (TAU_RES, 10 TAU_RES) trigger a small-divisor
+    warning but are still inverted.
     """
     if not Hk.is_zero() and Hk.min_degree() != Hk.degree():
         raise ValueError("input must be homogeneous")
-    d = L.d
+    eta = np.asarray(eta, dtype=float)
+    d = eta.size
     cd = _real_to_complex(Hk, d)
     res, nr, gam = {}, {}, {}
     hazard = None
     for exp, coef in cd.items():
-        lam = L.eigenvalue(exp[:d], exp[d:])
+        lam = 1j * float(np.dot(eta, np.asarray(exp[:d])
+                                - np.asarray(exp[d:])))
         if abs(lam) < TAU_RES:
             res[exp] = coef
             continue
@@ -676,7 +615,7 @@ class NormalFormResult:
 
 
 def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
-                         K: int = 4) -> NormalFormResult:
+                         K: int) -> NormalFormResult:
     """Order-by-order normalization of an equilibrium Hamiltonian.
 
     H must have a critical point at the origin and an elliptic quadratic
@@ -708,10 +647,9 @@ def birkhoff_normal_form(H: TruncatedPoly, ps: PoissonStructure,
     generators, resonant, caught = {}, {}, []
     for k in range(3, K + 1):
         Hk = H.homogeneous_part(k)
-        L = HomologicalOperator(qd.eta, k)
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always", NearResonanceWarning)
-            Hres, _, Gam = split_resonant(Hk, L)
+            Hres, _, Gam = split_resonant(Hk, qd.eta)
         for w in wlist:
             caught.append(str(w.message))
             warnings.warn_explicit(w.message, w.category, w.filename,
@@ -766,7 +704,7 @@ def transform_symplectic_defect(result: NormalFormResult) -> float:
 
 
 def run_normal_form_report(H_chart: TruncatedPoly, ps: PoissonStructure,
-                           K: int = 4) -> NormalFormResult:
+                           K: int) -> NormalFormResult:
     """Normal form (resonance cut TAU_RES) plus conjugation /
     symplecticity residuals filled in; the symplecticity check runs for
     every structure but a restricted (StructuredStructure) one."""
@@ -805,10 +743,10 @@ def intertwining_check(F: SmoothMap, slc, probes) -> dict:
             raise ValueError("probe off the level set (residual %.3e)"
                              % lev)
         v_slice = dirac_project(F, DiracContext(full, x))
-        if base is not None and base.k:
+        if base is not None:
             v_level = dirac_project(F, DiracContext(base, x))
         else:
-            v_level = _ambient_field(F, x)
+            v_level = J_apply(F.gradient(x))
         residuals.append(float(np.max(np.abs(v_slice - v_level))))
     worst = max(residuals)
     return {
@@ -817,7 +755,3 @@ def intertwining_check(F: SmoothMap, slc, probes) -> dict:
         "n_probes": len(residuals),
         "tau_twin": TAU_TWIN,
     }
-
-
-def _ambient_field(F: SmoothMap, x) -> np.ndarray:
-    return J_apply(F.gradient(x))

@@ -13,12 +13,11 @@ the constraint geometry at x, and ``dirac_bracket``, ``dirac_project``
 and ``moser_multipliers`` read it; ``dirac_field_callable`` is the
 projected field of integrator inner loops, built from a gradient and a
 constraint Jacobian.
-``dirac_structure_series`` gives a truncated-series version of the
-bracket around a point in ambient coordinates; the normal-form pipeline
-does not use it, but builds its chart-variable bracket with
-``birkhoff.dirac_chart_structure`` from the polynomial matrix helpers
-below.  Their entries are TruncatedPoly or real (a constant matrix
-enters as reals), and every entry of a product is one ``poly.poly_dot``.
+The truncated-series bracket of the normal-form pipeline, in chart
+variables, is ``birkhoff.dirac_chart_structure``, built from the
+polynomial matrix helpers below.  Their entries are TruncatedPoly or
+real (a constant matrix enters as reals), and every entry of a product
+is one ``poly.poly_dot``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .poly import TruncatedPoly, StructuredStructure, poly_dot
+from .poly import TruncatedPoly, poly_dot
 from .smooth import J_apply, SmoothMap, canonical_swap
 
 #: rank / singular-value thresholds (scaled by the matrix norm)
@@ -378,29 +377,6 @@ def poly_constraint_matrix(X):
              - poly_dot(X[i, m:], X[j, :m], zero)
              for i in range(k) for j in range(i + 1, k))
     return poly_antisymmetric(k, upper, zero)
-
-
-def dirac_structure_series(cs: ConstraintSet, x0, K: int) -> StructuredStructure:
-    """Series Dirac structure around x0 in ambient coordinates u = x - x0:
-
-        Pi_ab(u) = {x_a, x_b} - sum_ij {x_a, phi_i} C^ij(u) {phi_j, x_b}
-                 = J0 + X^T C^-1(u) X,
-
-    since {x_a, phi_i} = X_i,a and {phi_j, x_b} = -X_j,b, with C^-1(u) the
-    truncated Neumann inverse of the polynomial constraint-bracket
-    matrix.  Requires second-class at x0 and polynomial constraint forms.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    ctx = DiracContext(cs, x0)
-    ctx.require_second_class()
-    X = poly_gradient_fields(cs.centered_polys(x0, max_degree=K))
-    Cinv = poly_mat_neumann_inverse(poly_constraint_matrix(X), K)
-    Pi = poly_congruence(X.T, Cinv, TruncatedPoly.zero(cs.dim, K))
-    m = cs.dim // 2
-    for a in range(m):
-        Pi[a, m + a] = Pi[a, m + a] + 1.0
-        Pi[m + a, a] = Pi[m + a, a] - 1.0
-    return StructuredStructure(Pi)
 
 
 def singularity_diagnostics(cs: ConstraintSet, x) -> dict:

@@ -2,11 +2,11 @@
 conserved-quantity monitoring, flow comparison, and the bracket-level
 near-integrability check.
 
-Integrators are deliberately fixed-step (rk4, projected rk4, implicit
-midpoint): the acceptance numbers must be reproducible, and the working
-horizons are desk scale.  Fields and monitors are called as functions
-of the state: SmoothMaps (polynomial maps, callable as their value) or
-plain callables, such as a field from ``dirac.dirac_field_callable``.
+Integrators are deliberately fixed-step (rk4 and projected rk4): the
+acceptance numbers must be reproducible, and the working horizons are
+desk scale.  Fields and monitors are called as functions of the
+state: SmoothMaps (polynomial maps, callable as their value) or plain
+callables, such as a field from ``dirac.dirac_field_callable``.
 The constrained integrator only needs ``values``, ``jacobian`` and ``k``
 from its constraint argument, a ConstraintSet or a
 ``models.CallableConstraints`` over one's values and Jacobian.  The start
@@ -71,27 +71,15 @@ def _rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _implicit_midpoint_step(f, x, dt):
-    """Fixed-point iteration of y = x + dt f((x + y)/2): stops at a
-    relative update below 1e-14, raises RuntimeError after 100 sweeps."""
-    y = x + dt * f(x)
-    for _ in range(100):
-        y_new = x + dt * f(0.5 * (x + y))
-        if np.max(np.abs(y_new - y)) < 1e-14 * max(1.0, np.max(np.abs(y))):
-            return y_new
-        y = y_new
-    raise RuntimeError("implicit midpoint fixed point did not converge")
-
-
 def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
               constraints=None, monitors=None) -> Trajectory:
     """Fixed-step flow of a vector field from x0 over [0, T].
 
-    method is one of ``rk4``, ``projected_rk4`` (post-step Newton
-    projection onto the given second-class constraints), or
-    ``implicit_midpoint``.  monitors, a name -> function map, is
-    evaluated at every sample into the trajectory diagnostics.  The
-    step count is round(T / dt), which must be at least one.
+    method is ``rk4`` or ``projected_rk4`` (post-step Newton projection
+    onto the given second-class constraints).  monitors, a name ->
+    function map, is evaluated at every sample into the trajectory
+    diagnostics.  The step count is round(T / dt), which must be at
+    least one.
     """
     if not (np.isfinite(T) and np.isfinite(dt)) or T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive and finite")
@@ -106,7 +94,7 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
         if x.size % 2:
             raise ValueError("phase dimension must be even")
         DiracContext(constraints, x).require_second_class()
-    elif method not in ("rk4", "implicit_midpoint"):
+    elif method != "rk4":
         raise ValueError("unknown method %r" % method)
     monitors = monitors or {}
 
@@ -122,12 +110,9 @@ def integrate(vec_field, x0, T: float, dt: float, method: str = "rk4",
 
     record(0, 0.0, x)
     for k in range(1, n_steps + 1):
-        if method == "implicit_midpoint":
-            x = _implicit_midpoint_step(vec_field, x, dt)
-        else:
-            x = _rk4_step(vec_field, x, dt)
-            if method == "projected_rk4":
-                x = project_onto_constraints(constraints, x)
+        x = _rk4_step(vec_field, x, dt)
+        if method == "projected_rk4":
+            x = project_onto_constraints(constraints, x)
         if not np.isfinite(x).all():
             raise RuntimeError("state became non-finite at t = %g" % (k * dt))
         record(k, k * dt, x)

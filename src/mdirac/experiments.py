@@ -380,12 +380,12 @@ def _thin(traj: Trajectory) -> Trajectory:
         diagnostics={k: v[idx] for k, v in traj.diagnostics.items()})
 
 
-def _random_poly(rng, n_vars, n_terms=8, max_degree=3, K=6):
-    """Seeded sparse random polynomial with terms of degree 1..max."""
+def _random_poly(rng, n_vars, n_terms=8, K=6):
+    """Seeded sparse random polynomial with terms of degree 1..3."""
     terms = {}
     for _ in range(n_terms):
         e = [0] * n_vars
-        for i in rng.integers(0, n_vars, size=int(rng.integers(1, max_degree + 1))):
+        for i in rng.integers(0, n_vars, size=int(rng.integers(1, 4))):
             e[i] += 1
         terms[tuple(e)] = rng.standard_normal()
     return TruncatedPoly(n_vars, K, terms)

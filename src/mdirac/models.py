@@ -363,6 +363,16 @@ def dsp_equilibria(p: DspParams, case_id: int, mu: float | None = None,
         multipliers=lam, singular=False, newton_iterations=n_iter)
 
 
+def _augmented_hessian(H_om: TruncatedPoly, re: RelativeEquilibrium):
+    """Hessian at re.x0 of the multiplier-augmented Hamiltonian
+    H - Omega J - lambda . phi, for H_om = H - Omega J and the sphere
+    pairs phi of dsp_spheres."""
+    S = SmoothMap.from_poly(H_om).hessian(re.x0)
+    for lam, phi in zip(re.multipliers, dsp_spheres().constraints):
+        S = S - lam * phi.hessian(re.x0)
+    return S
+
+
 def dsp_slice(p: DspParams, re: RelativeEquilibrium):
     """Slice model at the equilibrium: sphere pairs + Phi = J - mu + slice.
 
@@ -376,11 +386,7 @@ def dsp_slice(p: DspParams, re: RelativeEquilibrium):
     act = dsp_action()
     mom = MomentumData(act, [re.mu])
     _, H_poly = dsp_hamiltonian(p)
-    J_poly = act.momentum_polys()[0]
-    S = SmoothMap.from_poly(H_poly - re.Omega * J_poly).hessian(re.x0)
-    if re.multipliers is not None:
-        for lam, phi in zip(re.multipliers, base.constraints):
-            S = S - lam * phi.hessian(re.x0)
+    S = _augmented_hessian(H_poly - re.Omega * act.momentum_polys()[0], re)
     W = adapted_slice_directions(S, base, act, re.x0)
     return build_slice(base, mom, re.x0, w_override=W)
 
@@ -403,7 +409,7 @@ def dsp_sphere_callables() -> CallableConstraints:
     return CallableConstraints(cs.values, cs.jacobian, cs.k)
 
 
-def dsp_gradient(p: DspParams, Omega: float = 0.0):
+def dsp_gradient(p: DspParams, Omega: float):
     """grad(H - Omega J) of the pendulum, as the gradient of that
     polynomial's SmoothMap."""
     H_om = dsp_hamiltonian(p)[1] - Omega * dsp_action().momentum_polys()[0]
@@ -417,18 +423,19 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
     """Full slice-to-normal-form run at a relative equilibrium.
 
     Stage order mirrors the hypotheses: build the 6-constraint slice,
-    verify the drift-free property of the quadratic part of H_Omega and
-    the stationarity of the locked inertia, then run both normalization
-    paths (canonical bracket in the flattened chart, and the transported
-    on-level Dirac structure) and compare their resonant data.  A failed
-    drift check halts the pipeline before normalization and returns the
-    partial report.  At non-elliptic equilibria the normalization itself
-    refuses (degenerate or paired frequencies); the refusal is recorded
-    under ``normal_form_error`` and the field-level intertwining check
-    still runs.  Pass ``normal_form=False`` to skip the chart stage.  The
-    slice model is returned under ``slice``.  Raises ValueError when
-    chart_degree < K: the chart would truncate terms the degree-K normal
-    form reads.
+    verify the drift-free property of the quadratic part of H_Omega
+    augmented by the sphere multipliers (the form dsp_slice adapts to)
+    and the stationarity of the locked inertia, then run both
+    normalization paths (canonical bracket in the flattened chart, and
+    the transported on-level Dirac structure) and compare their resonant
+    data.  A failed drift check halts the pipeline before normalization
+    and returns the partial report.  At non-elliptic equilibria the
+    normalization itself refuses (degenerate or paired frequencies); the
+    refusal is recorded under ``normal_form_error`` and the field-level
+    intertwining check still runs.  Pass ``normal_form=False`` to skip
+    the chart stage.  The slice model is returned under ``slice``.
+    Raises ValueError when chart_degree < K: the chart would truncate
+    terms the degree-K normal form reads.
     """
     if chart_degree < K:
         raise ValueError("chart_degree (%d) must be at least K (%d)"
@@ -441,8 +448,8 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
     H_om = H_poly - re.Omega * J_poly
     x0 = re.x0
 
-    # drift-free check on the quadratic part of H_Omega about x0
-    S = SmoothMap.from_poly(H_om).hessian(x0)
+    # drift-free check on the quadratic part of the augmented H_Omega
+    S = _augmented_hessian(H_om, re)
     H2_amb = TruncatedPoly.from_quadratic_form(S, 2).shifted(-x0)
     probes = sample_probes(slc.full_constraints, x0, n_probes,
                            drift_radius, seed)
@@ -458,11 +465,11 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
         try:
             level = slc.full_constraints
             frame = darboux_frame(level, slc.x0)
-            chart = chart_series(level, frame, K=chart_degree)
+            chart = chart_series(level, frame, chart_degree)
             flat = darboux_flatten(chart)
             Hc = compose_batch([H_om], flat.ambient_polys())[0].truncated(K)
             nf_chart = run_normal_form_report(Hc, CanonicalStructure(3), K=K)
-            pi = dirac_chart_structure(level, flat, max_degree=K)
+            pi = dirac_chart_structure(level, flat, K)
             nf_dirac = run_normal_form_report(Hc, pi, K=K)
         except (ValueError, RuntimeError) as err:
             out["normal_form_error"] = str(err)

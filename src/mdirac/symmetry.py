@@ -119,7 +119,6 @@ class MomentumData:
         if self.mu.size != action.group_dim:
             raise ValueError("one level value per generator required")
         self.J_polys = action.momentum_polys()
-        self.J_components = [SmoothMap.from_poly(p) for p in self.J_polys]
         self.Phi_polys = [p - float(v) for p, v in zip(self.J_polys, self.mu)]
         self.Phi = [SmoothMap.from_poly(p) for p in self.Phi_polys]
 
@@ -133,7 +132,6 @@ class SliceModel:
                  upsilon_cs: ConstraintSet, W: np.ndarray, B: np.ndarray):
         self.x0 = np.asarray(x0, dtype=float)
         self.base = base
-        self.momentum = momentum
         self.upsilon_cs = upsilon_cs
         self.Upsilon = upsilon_cs.constraints
         self.W = W
@@ -148,7 +146,6 @@ class SliceModel:
             self.full_constraints = phi_cs.concat(upsilon_cs)
             self.n_base = 0
         self.n_phi = len(momentum.Phi)
-        self.n_ups = upsilon_cs.k
 
     def level_constraints(self) -> ConstraintSet:
         """Base plus momentum constraints (the level Z, no slice cut)."""

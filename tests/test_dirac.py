@@ -23,7 +23,6 @@ from mdirac.dirac import (
     dirac_bracket,
     dirac_field_callable,
     dirac_project,
-    dirac_structure_series,
     moser_multipliers,
     poly_congruence,
     poly_mat_neumann_inverse,
@@ -612,49 +611,6 @@ def test_poly_congruence_matches_explicit_sum():
     for a in range(2):
         for c in range(2):
             assert coeff_distance(got[a, c], want[a, c]) < 1e-12
-
-
-def test_structure_series_matches_pointwise_bracket():
-    cs = sphere_pair(K=6)
-    rng = np.random.default_rng(40)
-    x0 = sphere_probe(rng)
-    st = dirac_structure_series(cs, x0, K=4)
-    ctx = DiracContext(cs, x0)
-    zero = np.zeros(6)
-    for a in range(6):
-        for b in range(6):
-            got = st.pi[a, b].eval(zero)
-            want = dirac_bracket(coord_map(a, 6), coord_map(b, 6), ctx)
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_structure_series_jacobi_identity():
-    # Jacobiator of the series bracket on coordinate triples vanishes
-    # through the reliable degree window
-    cs = sphere_pair(K=8)
-    x0 = np.array([0.0, 0.0, 1.0, 0.4, 0.0, 0.0])
-    x0 = project_to_constraints(cs, x0)
-    K = 5
-    st = dirac_structure_series(cs, x0, K=K)
-    rng = np.random.default_rng(41)
-    n = 6
-    for _ in range(4):
-        f, g, h = (TruncatedPoly.from_linear(rng.standard_normal(n), K)
-                   for _ in range(3))
-        jac = (st.bracket(f, st.bracket(g, h))
-               + st.bracket(g, st.bracket(h, f))
-               + st.bracket(h, st.bracket(f, g)))
-        # entries of Pi are truncated at K, so the Jacobiator is clean
-        # only below K-1; inspect that window coefficient-wise
-        for k in range(K - 1):
-            assert jac.homogeneous_part(k).max_abs_coeff() < 1e-9
-
-
-def test_structure_series_requires_second_class_point():
-    n = 4
-    cs = ConstraintSet.from_polys([TruncatedPoly.variable(0, n, 4)])
-    with pytest.raises(ValueError):
-        dirac_structure_series(cs, np.zeros(n), K=3)
 
 
 # ----------------------------------------------------------------------

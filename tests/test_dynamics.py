@@ -91,15 +91,6 @@ def test_time_reversal():
     assert np.max(np.abs(back.states[-1] - x0)) < 1e-8
 
 
-def test_implicit_midpoint_conserves_quadratic_energy():
-    x0 = np.array([1.0, 0.0])
-    traj = integrate(harmonic_field, x0, T=10.0, dt=1e-2,
-                     method="implicit_midpoint",
-                     monitors={"E": harmonic_energy})
-    drift = conserved_monitor(traj, ["E"])
-    assert drift["E"] < 1e-12
-
-
 def test_integrate_input_validation():
     x0 = np.zeros(2)
     with pytest.raises(ValueError):

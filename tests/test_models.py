@@ -302,6 +302,19 @@ def test_pipeline_case2_consistency():
     assert out["intertwining"]["passed"]
 
 
+def test_pipeline_drift_check_with_gravity():
+    # at g > 0 the sphere multipliers' Hessians are part of the quadratic
+    # form the slice is adapted to; a drift check on the Hessian of
+    # H - Omega J alone leaves a cross block of ~0.2 and fails
+    p = DspParams(g=1.0)
+    re = dsp_equilibria(p, 2, mu=5.0)
+    assert re.residual < 1e-12
+    drift = dsp_pipeline(p, re, n_probes=8, normal_form=False)["drift"]
+    assert drift["is_drift_free"], drift
+    assert drift["max_residual"] < 1e-7
+    assert drift["hessian_cross_block"] < 1e-9
+
+
 def test_pipeline_rejects_chart_degree_below_K():
     # a degree-3 chart truncates terms a K = 4 normal form reads: its
     # resonant coefficients would be wrong yet pass every check

@@ -80,7 +80,7 @@ def test_momentum_field_equals_generator():
     # X_{J_i} = xi_{i,M} exactly for the lift
     act = GroupAction([rot3(2)])
     md = MomentumData(act, mu=[0.0])
-    X = hamiltonian_vector_field(md.J_components[0])
+    X = hamiltonian_vector_field(SmoothMap.from_poly(md.J_polys[0]))
     rng = np.random.default_rng(7)
     for _ in range(6):
         x = rng.standard_normal(6)
