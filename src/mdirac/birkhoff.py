@@ -33,6 +33,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .dirac import (
     ConstraintSet,
     DiracContext,
+    _null_space,
     dirac_project,
     poly_antisymmetric,
     poly_congruence,
@@ -123,12 +124,8 @@ def darboux_frame(cs: ConstraintSet, x0) -> DarbouxFrame:
     ctx = DiracContext(cs, x0)
     ctx.require_second_class()
     G = ctx.G
-    n = G.shape[1]
-    _, s, vh = np.linalg.svd(G)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
-    kernel = vh[rank:].T
-    J0 = canonical_J(n // 2)
-    V = _symplectic_gram_schmidt(kernel, J0)
+    J0 = canonical_J(G.shape[1] // 2)
+    V = _symplectic_gram_schmidt(_null_space(G, 1e-10), J0)
     d = V.shape[1] // 2
     if np.max(np.abs(G @ V)) > 1e-10:
         raise RuntimeError("frame escaped the constraint kernel")

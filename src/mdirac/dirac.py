@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import TruncatedPoly, poly_dot
-from .smooth import J_apply, SmoothMap, canonical_swap
+from .smooth import J_apply, SmoothMap
 
 #: rank / singular-value thresholds (scaled by the matrix norm)
 TAU_RANK = 1e-8
@@ -104,15 +104,6 @@ class ConstraintSet:
                              names=self.names + other.names)
 
 
-def _constraint_fields(G) -> np.ndarray:
-    """Rows X_phi_i = J0 grad(phi_i) of stacked constraint gradients G,
-    as a new C-ordered array."""
-    perm, sign = canonical_swap(G.shape[1])
-    XG = G.take(perm, axis=1)
-    XG *= sign
-    return XG
-
-
 class DiracContext:
     """Constraint geometry frozen at a point: the gradients G, the
     constraint fields XG (rows X_phi_i), C = G XG^T, its inverse and
@@ -142,16 +133,14 @@ class DiracContext:
             for phi, row in zip(cs.constraints, G):
                 row.flags.writeable = False
                 self._gradients[phi] = row
-        self.XG = _constraint_fields(G)
+        self.XG = J_apply(G)               # rows X_phi_i = J0 grad(phi_i)
         C = G @ self.XG.T                  # C_ij = {phi_i, phi_j}
         skew_defect = np.max(np.abs(C + C.T))
         if skew_defect > 1e-10 * max(1.0, np.max(np.abs(C))):
             raise ValueError("constraint matrix lost antisymmetry (defect %g)"
                              % skew_defect)
         C = self.C = 0.5 * (C - C.T)
-        sv_G = _singular_values(G)
-        self.rank_dphi = int(np.sum(
-            sv_G > TAU_RANK * max(1.0, sv_G[0] if sv_G.size else 0.0)))
+        self.rank_dphi = _rank(_singular_values(G), TAU_RANK)
         sv_C = _singular_values(C)
         smax = sv_C[0] if sv_C.size else 0.0
         smin = self.sigma_min = sv_C[-1] if sv_C.size else 0.0
@@ -263,7 +252,7 @@ def dirac_field_callable(gradient, constraint_jacobian):
     def _field(x):
         Xf = J_apply(gradient(x))
         G = constraint_jacobian(x)
-        XG = _constraint_fields(G)
+        XG = J_apply(G)
         y = _solve_square(G @ XG.T, G @ Xf)
         return Xf - y @ XG
 
@@ -418,6 +407,26 @@ def _singular_values(A):
         raise np.linalg.LinAlgError("SVD did not converge (gesdd info %d)"
                                     % info)
     return s
+
+
+def _rank(s, tol) -> int:
+    """Count of singular values s (largest first) above tol * max(1, s[0])."""
+    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+
+
+def _null_space(A, tol) -> np.ndarray:
+    """Orthonormal columns spanning ker A: the right singular vectors
+    past _rank(s, tol), by gesdd with full vectors, np.linalg.svd(A) and
+    scipy.linalg.svd(A) bit for bit.  (Its s differ in the last bits
+    from _singular_values(A).)  Refusals as in _singular_values."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    _, s, vt, info = scipy.linalg.lapack.dgesdd(A, compute_uv=1,
+                                                full_matrices=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge (gesdd info %d)"
+                                    % info)
+    return vt[_rank(s, tol):].T
 
 
 def _solve_square(A, b):

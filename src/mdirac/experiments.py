@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.integrate
 
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -727,6 +726,8 @@ def _run_oscillator_bnf(cfg: ExperimentConfig, checks: CheckSet):
     p = TruncatedPoly.variable(1, 2, K)
     H = 0.5 * (q * q + p * p) + beta * q ** 4
     res = run_normal_form_report(H, CanonicalStructure(1), K=K)
+
+    import scipy.integrate  # local: its import slows every CLI start-up
 
     # circle average of cos^4 gives the resonant coefficient directly
     avg, _ = scipy.integrate.quad(

@@ -24,8 +24,8 @@ from .birkhoff import (
     intertwining_check,
     run_normal_form_report,
 )
-from .dirac import (ConstraintSet, DiracContext, dirac_bracket, probe_list,
-                    sample_probes)
+from .dirac import (TAU_RANK, ConstraintSet, DiracContext, _null_space,
+                    dirac_bracket, probe_list, sample_probes)
 from .poly import (
     CanonicalStructure,
     DEFAULT_MAX_DEGREE,
@@ -186,8 +186,8 @@ def dsp_stationarity(p: DspParams, x0) -> dict:
     Gq = np.zeros((2, 6))
     Gq[0, :3] = x0[:3]
     Gq[1, 3:] = x0[3:6]
-    _, _, Vt = scipy.linalg.svd(Gq)
-    return stationarity_test(dsp_locked_inertia(p), x0[:6], list(Vt[2:]))
+    tangent = _null_space(Gq, TAU_RANK)
+    return stationarity_test(dsp_locked_inertia(p), x0[:6], list(tangent.T))
 
 
 def dsp_case_configuration(p: DspParams, case_id: int):
@@ -388,7 +388,7 @@ def dsp_slice(p: DspParams, re: RelativeEquilibrium):
     _, H_poly = dsp_hamiltonian(p)
     S = _augmented_hessian(H_poly - re.Omega * act.momentum_polys()[0], re)
     W = adapted_slice_directions(S, base, act, re.x0)
-    return build_slice(base, mom, re.x0, w_override=W)
+    return build_slice(base, mom, re.x0, W)
 
 
 class CallableConstraints:

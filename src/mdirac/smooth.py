@@ -47,10 +47,11 @@ def canonical_swap(n: int):
 
 
 def J_apply(g: np.ndarray) -> np.ndarray:
-    """J0 @ g without building the matrix: (q-part, p-part) -> (p, -q)."""
-    g = np.asarray(g, dtype=float)
-    perm, sign = canonical_swap(g.size)
-    out = g[perm]
+    """J0 applied along the last axis of a float array g without
+    building the matrix, (q-part, p-part) -> (p, -q), as a new C-ordered
+    array: J0 @ g for a vector, and the rows J0 g_i for a stack of rows."""
+    perm, sign = canonical_swap(g.shape[-1])
+    out = g.take(perm, axis=-1)
     out *= sign
     return out
 

@@ -10,23 +10,24 @@ whose momentum map components are J_i(q, p) = p . (a_i q).  The level
 constraints Phi_i = J_i - mu_i are first-class among themselves; a
 local slice through x0 is cut by affine functions
 
-    Upsilon_j(x) = w_j . (x - x0),     w_j = X_{Phi_j}(x0),
+    Upsilon_j(x) = w_j . (x - x0).
 
-the generator directions at x0.  The cross matrix B_ji =
-{Upsilon_j, Phi_i}(x0) is then the Gram matrix of the generator
+For the generator directions w_j = X_{Phi_j}(x0), the cross matrix
+B_ji = {Upsilon_j, Phi_i}(x0) is the Gram matrix of the generator
 vectors, invertible exactly when the action is locally free at x0.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .dirac import (
     ConstraintSet,
     DiracContext,
     TAU_ON_N,
     TAU_SING,
+    _null_space,
+    _singular_values,
     dirac_bracket,
     probe_list,
 )
@@ -166,23 +167,22 @@ def _locally_free_generators(action, x0) -> np.ndarray:
     the generators are dependent there)."""
     gens = np.vstack([action.generator_field(i, x0)
                       for i in range(action.group_dim)])
-    sv = scipy.linalg.svdvals(gens @ gens.T)
-    if sv.size == 0 or sv[-1] <= TAU_SING * max(1.0, sv[0]):
+    sv = _singular_values(gens @ gens.T)
+    if sv[-1] <= TAU_SING * max(1.0, sv[0]):
         raise NotLocallyFreeError(
             "action is not locally free at x0 (generator Gram sigma_min "
-            "= %g): no slice exists at a fixed point"
-            % (sv[-1] if sv.size else 0.0))
+            "= %g): no slice exists at a fixed point" % sv[-1])
     return gens
 
 
 def build_slice(base_constraints, momentum: MomentumData, x0,
-                w_override=None) -> SliceModel:
-    """Construct the slice model at x0.
+                W) -> SliceModel:
+    """Construct the slice model at x0, cut by Upsilon_j(x) = w_j .
+    (x - x0) for the rows w_j of W, truncated at poly.DEFAULT_MAX_DEGREE.
 
-    The default slice directions are the generator fields w_j =
-    X_{Phi_j}(x0); the cross matrix B is then the generator Gram matrix,
-    invertible iff the action is locally free at x0.  The affine slice
-    polynomials are truncated at poly.DEFAULT_MAX_DEGREE.
+    For the generator fields w_j = X_{Phi_j}(x0), the cross matrix B is
+    the generator Gram matrix, invertible iff the action is locally free
+    at x0.
     """
     x0 = np.asarray(x0, dtype=float)
     vals = [phi.value(x0) for phi in momentum.Phi]
@@ -191,11 +191,7 @@ def build_slice(base_constraints, momentum: MomentumData, x0,
     if np.max(np.abs(vals)) > TAU_ON_N:
         raise ValueError("x0 violates the constraints (max residual %g)"
                          % np.max(np.abs(vals)))
-    gens = _locally_free_generators(momentum.action, x0)
-    if w_override is not None:
-        W = np.asarray(w_override, dtype=float)
-    else:
-        W = gens
+    _locally_free_generators(momentum.action, x0)
     ups_polys = []
     for w in W:
         lin = TruncatedPoly.from_linear(w, DEFAULT_MAX_DEGREE)
@@ -207,7 +203,7 @@ def build_slice(base_constraints, momentum: MomentumData, x0,
                      B=np.zeros((len(ups_polys), len(momentum.Phi))))
     B = np.array([[tmp.m_bracket(u, phi, x0) for phi in momentum.Phi]
                   for u in ups_cs.constraints])
-    svB = scipy.linalg.svdvals(B)
+    svB = _singular_values(B)
     if svB[-1] <= TAU_SING * max(1.0, svB[0]):
         raise NotLocallyFreeError("slice cross matrix B is singular "
                                   "(sigma_min = %g)" % svB[-1])
@@ -232,9 +228,9 @@ def adapted_slice_directions(S_aug, base_constraints, action,
         (T^T S_aug T) v_i = T^T (J xi_i),
 
     normalize the solutions so that omega(xi_i, v_j) = delta_ij, and
-    return the rows w_i = J v_i for use as ``w_override``.  The affine
-    functions w_i . (x - x0) then cut a slice with B = identity on which
-    the mixed Hessian block vanishes.
+    return the rows w_i = J v_i, the directions of ``build_slice``.  The
+    affine functions w_i . (x - x0) then cut a slice with B = identity
+    on which the mixed Hessian block vanishes.
 
     Raises
     ------
@@ -251,10 +247,7 @@ def adapted_slice_directions(S_aug, base_constraints, action,
     S_aug = np.asarray(S_aug, dtype=float)
     gens = _locally_free_generators(action, x0)
     if base_constraints is not None:
-        G = base_constraints.jacobian(x0)
-        _, svG, Vt = scipy.linalg.svd(G, full_matrices=True)
-        rank = int(np.sum(svG > TAU_SING * max(1.0, svG[0])))
-        T = Vt[rank:].T
+        T = _null_space(base_constraints.jacobian(x0), TAU_SING)
     else:
         T = np.eye(n)
     Sr = T.T @ S_aug @ T
@@ -268,7 +261,7 @@ def adapted_slice_directions(S_aug, base_constraints, action,
             "critical point of the locked inertia" % defect)
     Vamb = T @ V
     Om = gens @ (J @ Vamb)
-    svO = scipy.linalg.svdvals(Om)
+    svO = _singular_values(Om)
     if svO[-1] <= TAU_SING * max(1.0, svO[0]):
         raise ValueError("adapted directions pair degenerately with the "
                          "generators (sigma_min %g)" % svO[-1])
@@ -297,10 +290,7 @@ def check_drift_free(F: SmoothMap, slc: SliceModel, probes) -> dict:
             residuals.append(abs(slc.m_bracket(u, F, x)))
     max_res = max(residuals)
     # slice tangent basis = kernel of the full constraint Jacobian at x0
-    G = slc.full_constraints.jacobian(slc.x0)
-    _, sv, Vt = scipy.linalg.svd(G, full_matrices=True)
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
-    kernel = Vt[rank:].T
+    kernel = _null_space(slc.full_constraints.jacobian(slc.x0), 1e-10)
     cross = np.array([[central_difference(lambda x: slc.m_bracket(u, F, x),
                                           slc.x0, v, 1e-5)
                        for v in kernel.T] for u in slc.Upsilon])

@@ -584,7 +584,8 @@ def planar_slice(mu=0.7):
     act = GroupAction([ROT2])
     md = MomentumData(act, mu=[mu])
     x0 = np.array([1.0, 0.0, 0.0, mu])
-    return build_slice(None, md, x0), md, x0
+    W = act.generator_field(0, x0)[None]     # the generator direction
+    return build_slice(None, md, x0, W), md, x0
 
 
 def test_intertwining_invariant_flat_function():

@@ -3,9 +3,14 @@ command-line front end (exit codes, determinism, artifacts)."""
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import mdirac
 from mdirac.cli import main
 from mdirac.experiments import (
     EXPERIMENTS,
@@ -333,6 +338,20 @@ def test_cli_numerics_override_and_csv(tmp_path):
     lines = (out / "neumann_flow.csv").read_text().splitlines()
     assert lines[0].startswith("t,x1,x2,x3,x4,x5,x6,diag:")
     assert len(lines) > 100
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate also loads scipy's optimize, sparse, spatial and
+    # special; only the oscillator_bnf experiment needs it
+    env = dict(os.environ)
+    src = str(pathlib.Path(mdirac.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mdirac.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_log_env(monkeypatch, capsys):

@@ -17,7 +17,10 @@ import scipy.linalg
 from mdirac.dirac import (
     ConstraintSet,
     DiracContext,
-    _constraint_fields,
+    TAU_RANK,
+    TAU_SING,
+    _null_space,
+    _rank,
     _singular_values,
     classify,
     dirac_bracket,
@@ -265,9 +268,10 @@ def test_bracket_vectors_match_former_formulas_bit_for_bit():
 
 
 def test_constraint_fields_keep_signed_zeros():
+    # the constraint fields XG are J_apply of the row stack G
     G = np.array([[0.0, -0.0, 1.5, -0.0, 0.0, -2.0],
                   [-0.0, 3.0, 0.0, 0.0, -1.0, -0.0]])
-    XG = _constraint_fields(G)
+    XG = J_apply(G)
     assert XG.flags.c_contiguous
     assert XG.tobytes() == np.concatenate([G[:, 3:], -G[:, :3]],
                                           axis=1).tobytes()
@@ -288,6 +292,73 @@ def test_context_singular_values_match_svdvals_bit_for_bit():
                            np.zeros(12))
         sv = scipy.linalg.svdvals(ctx.C)
         assert ctx.sigma_min == sv[-1] and ctx.cond == sv[0] / sv[-1]
+
+
+def former_rank(sv, tol):
+    """The count each site made of its own singular values."""
+    return int(np.sum(sv > tol * max(1.0, sv[0])))
+
+
+def rank_deficient(rng, shape):
+    """A seeded matrix with a repeated row and, when it has three or
+    more rows, a zero row."""
+    A = rng.standard_normal(shape)
+    A[-1] = A[0]
+    if shape[0] > 2:
+        A[1] = 0.0
+    return A
+
+
+def test_rank_kernel_matches_former_svd_calls_bit_for_bit():
+    rng = np.random.default_rng(78)
+    # (former SVD, shapes at that site, threshold): rank_dphi, the
+    # adapted-slice and drift-check kernels, the Darboux-frame kernel,
+    # the S^2 x S^2 tangent basis of dsp_stationarity
+    sites = [
+        ("svdvals", ((4, 12), (6, 12), (2, 6), (3, 6), (2, 4)), TAU_RANK),
+        ("scipy_svd", ((4, 12), (2, 6)), TAU_SING),
+        ("scipy_svd", ((6, 12), (2, 4), (3, 6)), 1e-10),
+        ("numpy_svd", ((5, 12), (6, 12), (2, 6), (1, 4)), 1e-10),
+        ("scipy_svd", ((2, 6),), TAU_RANK),
+    ]
+    for former, shapes, tol in sites:
+        for shape in shapes:
+            mats = [rng.standard_normal(shape) for _ in range(50)]
+            mats.append(rank_deficient(rng, shape))
+            for A in mats:
+                if former == "svdvals":
+                    sv = scipy.linalg.svdvals(A)
+                    assert _rank(_singular_values(A), tol) == \
+                        former_rank(sv, tol)
+                    continue
+                if former == "scipy_svd":
+                    _, sv, Vt = scipy.linalg.svd(A, full_matrices=True)
+                else:
+                    _, sv, Vt = np.linalg.svd(A)
+                want = Vt[former_rank(sv, tol):].T
+                got = _null_space(A, tol)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    # the sigma_min refusals of symmetry, on square Gram, B and Omega
+    # matrices of an S^1 or T^2 action
+    for shape in ((1, 1), (2, 2)):
+        for _ in range(50):
+            A = rng.standard_normal(shape)
+            assert np.array_equal(_singular_values(A),
+                                  scipy.linalg.svdvals(A))
+    # dsp_stationarity at unit links: the basis is the former Vt[2:]
+    q = rng.standard_normal(6)
+    q[:3] /= np.linalg.norm(q[:3])
+    q[3:] /= np.linalg.norm(q[3:])
+    Gq = np.zeros((2, 6))
+    Gq[0, :3], Gq[1, 3:] = q[:3], q[3:]
+    _, _, Vt = scipy.linalg.svd(Gq)
+    assert _null_space(Gq, TAU_RANK).T.tobytes() == Vt[2:].tobytes()
+
+
+def test_null_space_refuses_non_finite_input():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _null_space(np.array([[1.0, np.inf, 0.0]]), 1e-10)
 
 
 def test_context_refuses_non_finite_constraint_matrix():

@@ -10,10 +10,10 @@ import pathlib
 import mdirac
 
 #: parameters with a default value, over every function in src/mdirac
-MAX_SETTABLE_PARAMETERS = 22
+MAX_SETTABLE_PARAMETERS = 21
 
 #: lines of the package source, src/mdirac/*.py
-MAX_PACKAGE_LINES = 4435
+MAX_PACKAGE_LINES = 4433
 
 
 def _settable_parameters():

@@ -28,6 +28,8 @@ def test_J_apply_matches_matrix():
     rng = np.random.default_rng(5)
     g = rng.standard_normal(6)
     np.testing.assert_allclose(J_apply(g), canonical_J(3) @ g)
+    G = rng.standard_normal((4, 6))        # a row stack: J0 g_i per row
+    np.testing.assert_allclose(J_apply(G), G @ canonical_J(3).T)
 
 
 def test_J_apply_keeps_signed_zeros():

@@ -127,7 +127,14 @@ def planar_slice(mu=0.7):
     act = GroupAction([ROT2])
     md = MomentumData(act, mu=[mu])
     x0 = np.array([1.0, 0.0, 0.0, mu])   # J = p . (a q) = mu
-    return build_slice(None, md, x0), md, x0
+    return build_slice(None, md, x0, generator_rows(act, x0)), md, x0
+
+
+def generator_rows(action, x):
+    """The generator fields at x as rows, the generator-direction
+    slice."""
+    return np.vstack([action.generator_field(i, x)
+                      for i in range(action.group_dim)])
 
 
 def test_build_slice_planar_gram():
@@ -146,14 +153,15 @@ def test_build_slice_fixed_point_raises():
     act = GroupAction([ROT2])
     md = MomentumData(act, mu=[0.0])
     with pytest.raises(NotLocallyFreeError):
-        build_slice(None, md, np.zeros(4))
+        build_slice(None, md, np.zeros(4), generator_rows(act, np.zeros(4)))
 
 
 def test_build_slice_rejects_off_level_point():
     act = GroupAction([ROT2])
     md = MomentumData(act, mu=[0.5])
+    x = np.array([1.0, 0.0, 0.0, 0.0])                        # J = 0
     with pytest.raises(ValueError):
-        build_slice(None, md, np.array([1.0, 0.0, 0.0, 0.0]))  # J = 0
+        build_slice(None, md, x, generator_rows(act, x))
 
 
 def test_upsilon_vanishes_at_x0():
