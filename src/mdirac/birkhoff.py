@@ -28,12 +28,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .dirac import (
     ConstraintSet,
     DiracContext,
     _null_space,
+    _solve_square,
     dirac_project,
     poly_antisymmetric,
     poly_congruence,
@@ -177,7 +177,8 @@ def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
 
     Corrections are taken in the span of the constraint gradients at x0,
     so each degree reduces to a linear solve against the (invertible)
-    Gram matrix of the gradients.  A residual above 1e-9 raises.
+    Gram matrix of the gradients, one gesv solve per exponent.  A
+    singular Gram matrix or a residual above 1e-9 raises RuntimeError.
     """
     x0 = frame.x0
     phis = cs.centered_polys(x0, max_degree=max(
@@ -186,11 +187,6 @@ def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
     n, r = V.shape
     G = cs.jacobian(x0)
     M = G @ G.T
-    try:
-        lu = lu_factor(M)
-    except Exception as exc:  # pragma: no cover - scipy raises LinAlgError
-        raise RuntimeError("constraint gradient Gram matrix is "
-                           "singular") from exc
     zero = TruncatedPoly.zero(r, K)
     xi = [TruncatedPoly.from_linear(V[a, :], K) for a in range(n)]
     for deg in range(2, K + 1):
@@ -202,7 +198,7 @@ def chart_series(cs: ConstraintSet, frame: DarbouxFrame,
         corr = [dict() for _ in range(cs.k)]
         for exp in exps:
             rhs = np.array([p.coefficient(exp) for p in parts])
-            sol = lu_solve(lu, -rhs)
+            sol = _solve_square(M, -rhs)
             for i, ci in enumerate(sol):
                 corr[i][exp] = ci
         # xi_a + sum_i G_ia corr_i, the current xi_a leading the sum
@@ -350,7 +346,7 @@ def dirac_chart_structure(cs: ConstraintSet, chart: ChartSeries,
         return transport_structure(base, chart.transition)
     V = chart.frame.basis
     n, r = V.shape
-    duals = np.linalg.solve(V.T @ V, V.T)
+    duals = _solve_square(V.T @ V, V.T)
     # the linear-inverse property: duals . map(u) must reproduce u
     psi = [p.truncated(K) for p in chart.map]
     zero_u = TruncatedPoly.zero(r, K)

@@ -312,7 +312,8 @@ def poly_mat_neumann_inverse(Cpoly, max_degree):
         C(u)^-1 = C0^-1 sum_m (-(C(u) - C0) C0^-1)^m,
 
     terms dropped once their minimum degree exceeds the truncation.  The
-    constant matrices C0^-1 and I enter the products as reals.
+    constant matrices C0^-1 and I enter the products as reals.  Raises
+    ValueError when C0 is zero, singular or has cond(C0) > 1e12.
     """
     Cpoly = np.asarray(Cpoly, dtype=object)
     k = Cpoly.shape[0]
@@ -320,9 +321,10 @@ def poly_mat_neumann_inverse(Cpoly, max_degree):
     zero = TruncatedPoly.zero(n_vars, max_degree)
     C0 = np.array([[Cpoly[i, j].coefficient((0,) * n_vars)
                     for j in range(k)] for i in range(k)])
-    if abs(np.linalg.det(C0)) < 1e-300 or np.linalg.cond(C0) > 1e12:
+    s = _singular_values(C0)
+    if not s[-1] > 1e-12 * s[0]:   # true for s = 0: the zero C0 is refused
         raise ValueError("constant part of the constraint matrix is singular")
-    C0inv = np.linalg.inv(C0)
+    C0inv = _solve_square(C0, np.eye(k))
     E = [[Cpoly[i, j] - float(C0[i, j]) for j in range(k)] for i in range(k)]
     minusEC0inv = poly_mat_mul(E, -C0inv, zero)
     powers, power = [], np.eye(k)
@@ -343,16 +345,9 @@ def poly_mat_neumann_inverse(Cpoly, max_degree):
 def poly_gradient_fields(polys):
     """For ambient constraint polynomials, the component polynomials of
     X_phi_i = J0 grad(phi_i); returns an object array of shape (k, n)."""
-    k = len(polys)
     n = polys[0].n_vars
-    m = n // 2
-    out = np.empty((k, n), dtype=object)
-    for i, p in enumerate(polys):
-        d = [p.derivative(v) for v in range(n)]
-        for a in range(m):
-            out[i, a] = d[m + a]
-            out[i, m + a] = -d[a]
-    return out
+    return J_apply(np.array([[p.derivative(v) for v in range(n)]
+                             for p in polys], dtype=object))
 
 
 def poly_constraint_matrix(X):
@@ -430,16 +425,17 @@ def _null_space(A, tol) -> np.ndarray:
 
 
 def _solve_square(A, b):
-    """A^-1 b by LAPACK's gesv (LU with partial pivoting), which is
-    np.linalg.solve(A, b) bit for bit, and getrf then getrs as in
-    scipy.linalg.lu_factor/lu_solve and scipy.linalg.solve, without
-    their per-call overhead.  A is a constraint matrix C or its
-    transpose; RuntimeError when it is exactly singular, that is, when
-    the set is not second-class at the point."""
+    """A^-1 b for any square A by LAPACK's gesv (LU with partial
+    pivoting), getrf then getrs as in scipy.linalg.lu_factor/lu_solve
+    and scipy.linalg.solve, without their per-call overhead; b = I gives
+    A^-1.  numpy links its own LAPACK build, so np.linalg.solve and
+    np.linalg.inv may differ in the last bits.  RuntimeError when A is
+    exactly singular: for a constraint matrix C, the set is not
+    second-class at the point."""
     _, _, y, info = scipy.linalg.lapack.dgesv(A, b)
     if info != 0:
-        raise RuntimeError("constraint matrix C is singular: the constraint "
-                           "set is not second-class at x")
+        raise RuntimeError("singular matrix: for a constraint matrix C, "
+                           "the constraint set is not second-class at x")
     return y
 
 

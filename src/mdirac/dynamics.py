@@ -140,30 +140,24 @@ def flow_compare(field_a, field_b, x0, T: float, dt: float) -> float:
     return float(np.max(np.linalg.norm(ta.states - tb.states, axis=1)))
 
 
-def relatedness_check(H_family, model, test_fns, probes, eps_list) -> dict:
+def relatedness_check(H_family, constraints, test_fns, probes,
+                      eps_list) -> dict:
     """Bracket-level near-integrability transfer check.
 
-    For each epsilon, compares the constrained and unconstrained brackets
-    of H_eps against the given invariant test functions at probes on the
-    locus: residual |{H_eps, f}_D - {H_eps, f}_M|.  The manifold bracket
-    {,}_M is the base-constraint Dirac bracket when `model` is a slice
-    model, else canonical; {,}_D always uses the full constraint set.
-    Passes when every residual is below 1e-8.  Raises ValueError on an
-    empty eps_list, which would pass with nothing checked.
+    For each epsilon, compares the Dirac bracket of H_eps over the
+    constraint set with its canonical bracket against the given
+    invariant test functions at probes on the locus: residual
+    |{H_eps, f}_D - {H_eps, f}|.  Passes when every residual is below
+    1e-8.  Raises ValueError on an empty eps_list, which would pass with
+    nothing checked.
 
     H_family: callable eps -> TruncatedPoly.  test_fns: name -> SmoothMap.
     """
     eps_list = list(eps_list)
     if not eps_list:
         raise ValueError("relatedness_check needs at least one eps value")
-    if hasattr(model, "full_constraints"):
-        full = model.full_constraints
-        m_bracket = model.m_bracket
-    else:
-        full = model
-        m_bracket = canonical_bracket_value
     probes = probe_list(probes)
-    contexts = [DiracContext(full, x) for x in probes]
+    contexts = [DiracContext(constraints, x) for x in probes]
     per_eps = {}
     worst = 0.0
     for eps in eps_list:
@@ -173,7 +167,7 @@ def relatedness_check(H_family, model, test_fns, probes, eps_list) -> dict:
             vals = []
             for x, ctx in zip(probes, contexts):
                 d = dirac_bracket(H, fn, ctx)
-                m = m_bracket(H, fn, x)
+                m = canonical_bracket_value(H, fn, x)
                 vals.append(abs(d - m))
             res[nm] = float(max(vals))
             worst = max(worst, res[nm])

@@ -30,11 +30,9 @@ from .poly import (
     CanonicalStructure,
     TruncatedPoly,
     poisson_bracket,
-    poly_dot,
 )
 from .smooth import SmoothMap, fd_jet, hamiltonian_vector_field
 from .dirac import (
-    ConstraintSet,
     DiracContext,
     dirac_bracket,
     dirac_field_callable,
@@ -61,6 +59,7 @@ from .models import (
     neumann_model,
     quaternion_product,
     separable_oscillator_model,
+    sphere_pairs,
 )
 from .dynamics import (
     Trajectory,
@@ -417,19 +416,10 @@ def _axiom_residuals(cs, probes, fs):
 # ----------------------------------------------------------------------
 
 
-def _sphere_pair_constraints() -> ConstraintSet:
-    """|q|^2 - 1 and q . p on R^6, truncated at DEFAULT_MAX_DEGREE."""
-    x = [TruncatedPoly.variable(i, 6, DEFAULT_MAX_DEGREE) for i in range(6)]
-    zero = TruncatedPoly.zero(6, DEFAULT_MAX_DEGREE)
-    return ConstraintSet.from_polys(
-        [poly_dot(x[:3], x[:3], zero) - 1.0, poly_dot(x[:3], x[3:], zero)],
-        names=["sphere", "radial"])
-
-
 def _run_sphere_dirac(cfg: ExperimentConfig, checks: CheckSet):
     num = cfg.num
     rng = np.random.default_rng(cfg.seed)
-    cs = _sphere_pair_constraints()
+    cs = sphere_pairs(1)
 
     def sphere_probe():
         q = rng.standard_normal(3)

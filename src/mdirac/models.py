@@ -130,28 +130,26 @@ def dsp_action() -> GroupAction:
     return GroupAction([np.kron(np.eye(2), AZ)])
 
 
-def dsp_spheres() -> ConstraintSet:
-    """Sphere pairing constraints |q_i|^2 - 1 and q_i . p_i in R^12,
-    truncated at poly.DEFAULT_MAX_DEGREE."""
-    n = 12
-    polys = []
-    for i in (0, 1):
-        terms = {}
-        for a in range(3):
-            exp = [0] * n
-            exp[3 * i + a] = 2
-            terms[tuple(exp)] = 1.0
-        polys.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms) - 1.0)
-    for i in (0, 1):
-        terms = {}
-        for a in range(3):
-            exp = [0] * n
-            exp[3 * i + a] = 1
-            exp[6 + 3 * i + a] = 1
-            terms[tuple(exp)] = 1.0
-        polys.append(TruncatedPoly(n, DEFAULT_MAX_DEGREE, terms))
+def sphere_pairs(links: int) -> ConstraintSet:
+    """Sphere pairing constraints on R^(6 links) = (q_1..q_links,
+    p_1..p_links), each q_i and p_i three coordinates: |q_i|^2 - 1 for
+    each link, then q_i . p_i for each link, named sphere<i> and
+    tangent<i> from 1, truncated at poly.DEFAULT_MAX_DEGREE."""
+    n = 6 * links
+    x = [TruncatedPoly.variable(i, n, DEFAULT_MAX_DEGREE) for i in range(n)]
+    zero = TruncatedPoly.zero(n, DEFAULT_MAX_DEGREE)
+    q = [x[3 * i:3 * i + 3] for i in range(links)]
+    p = [x[3 * i:3 * i + 3] for i in range(links, 2 * links)]
+    ids = range(1, links + 1)
     return ConstraintSet.from_polys(
-        polys, names=["sphere1", "sphere2", "tangent1", "tangent2"])
+        [poly_dot(qi, qi, zero) - 1.0 for qi in q]
+        + [poly_dot(qi, pi, zero) for qi, pi in zip(q, p)],
+        names=["sphere%d" % i for i in ids] + ["tangent%d" % i for i in ids])
+
+
+def dsp_spheres() -> ConstraintSet:
+    """Sphere pairing constraints |q_i|^2 - 1 and q_i . p_i in R^12."""
+    return sphere_pairs(2)
 
 
 def dsp_hamiltonian(p: DspParams):
@@ -474,9 +472,6 @@ def dsp_pipeline(p: DspParams, re: RelativeEquilibrium, K: int = 4,
         except (ValueError, RuntimeError) as err:
             out["normal_form_error"] = str(err)
         else:
-            out["chart"] = chart
-            out["flat"] = flat
-            out["H_chart"] = Hc
             out["nf_chart"] = nf_chart
             out["nf_dirac"] = nf_dirac
             dist = {k: (nf_chart.resonant_terms[k]

@@ -46,7 +46,8 @@ class TruncatedPoly:
     terms : mapping, optional
         Exponent tuple -> coefficient.  Cleaned on construction: terms
         beyond the truncation degree are dropped, coefficients below
-        ``COEFF_TOL`` are pruned.
+        ``COEFF_TOL`` are pruned, and a NaN coefficient raises
+        ValueError (an infinite one is kept).
     """
 
     __slots__ = ("n_vars", "max_degree", "terms", "_jets")
@@ -72,6 +73,8 @@ class TruncatedPoly:
                 c = float(coef)
                 if abs(c) > COEFF_TOL:
                     clean[exp] = c
+                elif c != c:
+                    raise ValueError("NaN coefficient at %r" % (exp,))
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_jets", None)
 
@@ -277,14 +280,6 @@ class TruncatedPoly:
     # substitution
     # ------------------------------------------------------------------
 
-    def compose(self, args: list["TruncatedPoly"]) -> "TruncatedPoly":
-        """Substitute args[i] for variable i (see :func:`compose_batch`).
-
-        All substituted polynomials must share a common variable count
-        and truncation order; the result lives in that algebra.
-        """
-        return compose_batch([self], args)[0]
-
     def shifted(self, x0) -> "TruncatedPoly":
         """The polynomial u -> p(x0 + u) (recentering at x0)."""
         x0 = np.asarray(x0, dtype=float)
@@ -294,7 +289,7 @@ class TruncatedPoly:
         for i in range(self.n_vars):
             v = TruncatedPoly.variable(i, self.n_vars, self.max_degree)
             args.append(v + float(x0[i]))
-        return self.compose(args)
+        return compose_batch([self], args)[0]
 
     # ------------------------------------------------------------------
     # serialization / misc

@@ -47,9 +47,11 @@ def canonical_swap(n: int):
 
 
 def J_apply(g: np.ndarray) -> np.ndarray:
-    """J0 applied along the last axis of a float array g without
-    building the matrix, (q-part, p-part) -> (p, -q), as a new C-ordered
-    array: J0 @ g for a vector, and the rows J0 g_i for a stack of rows."""
+    """J0 applied along the last axis of g without building the matrix,
+    (q-part, p-part) -> (p, -q), as a new C-ordered array: J0 @ g for a
+    vector, and the rows J0 g_i for a stack of rows.  g may be a float
+    array or an object array of TruncatedPoly, whose entries are scaled
+    by +-1.0, the same terms as the polynomial itself and its negative."""
     perm, sign = canonical_swap(g.shape[-1])
     out = g.take(perm, axis=-1)
     out *= sign
@@ -147,9 +149,7 @@ def hamiltonian_vector_field(H: SmoothMap) -> SmoothMap:
         raise ValueError("Hamiltonian must be a scalar map")
     if H.domain_dim % 2 != 0:
         raise ValueError("canonical pairing needs an even-dimensional domain")
-    d = H.derivatives[0]
-    m = H.domain_dim // 2
-    return SmoothMap.from_poly(d[m:] + [-di for di in d[:m]])
+    return SmoothMap(list(J_apply(np.array(H.derivatives[0], dtype=object))))
 
 
 def canonical_bracket_value(f: SmoothMap, g: SmoothMap, x) -> float:

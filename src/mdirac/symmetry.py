@@ -28,6 +28,7 @@ from .dirac import (
     TAU_SING,
     _null_space,
     _singular_values,
+    _solve_square,
     dirac_bracket,
     probe_list,
 )
@@ -265,7 +266,7 @@ def adapted_slice_directions(S_aug, base_constraints, action,
     if svO[-1] <= TAU_SING * max(1.0, svO[0]):
         raise ValueError("adapted directions pair degenerately with the "
                          "generators (sigma_min %g)" % svO[-1])
-    Vamb = Vamb @ np.linalg.inv(Om)
+    Vamb = Vamb @ _solve_square(Om, np.eye(len(Om)))
     return (J @ Vamb).T
 
 

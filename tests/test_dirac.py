@@ -275,6 +275,14 @@ def test_constraint_fields_keep_signed_zeros():
     assert XG.flags.c_contiguous
     assert XG.tobytes() == np.concatenate([G[:, 3:], -G[:, :3]],
                                           axis=1).tobytes()
+    # a polynomial row stack: each entry times +-1.0 has the terms of
+    # d[m:] and -d[:m], in the same order
+    maps = random_maps(np.random.default_rng(8), 6, 3)
+    d = [[f.polys[0].derivative(v) for v in range(6)] for f in maps]
+    for row, di in zip(J_apply(np.array(d, dtype=object)), d):
+        assert ([list(x.terms.items()) for x in row]
+                == [list(e.terms.items())
+                    for e in di[3:] + [-e for e in di[:3]]])
 
 
 def test_context_singular_values_match_svdvals_bit_for_bit():
@@ -617,6 +625,22 @@ def test_neumann_inverse_of_constant_matrix():
     got = np.array([[Cinv[i, j].coefficient((0,) * 4) for j in range(2)]
                     for i in range(2)])
     np.testing.assert_allclose(got, np.linalg.inv(C), atol=1e-14)
+
+
+@pytest.mark.parametrize("C0", [
+    np.zeros((2, 2)),
+    np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+    np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 1e-13], [0.0, 0.0, -1e-13, 0.0]]),
+], ids=["zero", "rank_deficient", "cond_1e13"])
+def test_neumann_inverse_refuses_singular_constant_part(C0):
+    u = TruncatedPoly.variable(0, 4, 4)
+    Cp = np.array([[u * float(i - j) + float(C0[i, j])
+                    for j in range(len(C0))] for i in range(len(C0))],
+                  dtype=object)
+    with pytest.raises(ValueError, match="constant part"):
+        poly_mat_neumann_inverse(Cp, 4)
 
 
 def test_neumann_inverse_polynomial_identity():

@@ -11,6 +11,7 @@ from mdirac.poly import (
     CanonicalStructure,
     StructuredStructure,
     TruncatedPoly,
+    compose_batch,
     lie_transform,
     poisson_bracket,
     poly_dot,
@@ -54,6 +55,15 @@ def brute_force_mul(a, b, cap):
 def test_construction_prunes_and_truncates():
     p = TruncatedPoly(2, 3, {(0, 0): 1.0, (4, 0): 2.0, (1, 0): 1e-15})
     assert p.terms == {(0, 0): 1.0}
+
+
+def test_nan_coefficient_is_refused():
+    # abs(nan) > COEFF_TOL is False, so a NaN would be pruned silently
+    with pytest.raises(ValueError, match="NaN"):
+        TruncatedPoly(2, 3, {(1, 0): float("nan"), (0, 1): 1.0})
+    q = TruncatedPoly(2, 3, {(1, 0): float("inf")})
+    with pytest.raises(ValueError, match="NaN"):
+        q - q
 
 
 def test_zero_poly_has_empty_terms():
@@ -296,7 +306,7 @@ def test_compose_against_pointwise_eval():
     rng = np.random.default_rng(99)
     f = random_poly(rng, 3, 2, 6)
     args = [random_poly(rng, 2, 2, 6, density=0.7) for _ in range(3)]
-    comp = f.compose(args)
+    comp = compose_batch([f], args)[0]
     for _ in range(12):
         u = 0.3 * rng.standard_normal(2)
         inner = np.array([a.eval(u) for a in args])

@@ -1,7 +1,7 @@
 """Size ratchets on the package source: a change that adds a settable
 parameter or grows the package raises the recorded bound in the same
-change, where it shows; and no package function exists for the tests
-alone."""
+change, where it shows; no package function exists for the tests
+alone; and dense linear algebra goes through dirac's kernels."""
 
 import ast
 import collections
@@ -13,7 +13,7 @@ import mdirac
 MAX_SETTABLE_PARAMETERS = 21
 
 #: lines of the package source, src/mdirac/*.py
-MAX_PACKAGE_LINES = 4433
+MAX_PACKAGE_LINES = 4400
 
 
 def _settable_parameters():
@@ -103,3 +103,51 @@ def test_no_test_only_api():
               and d.name not in DOCUMENTED_API
               and total[d.name] - _referenced_names(d)[d.name] <= 0]
     assert unused == []
+
+
+#: dirac's LAPACK kernels, the one home of dense solves and SVDs
+DIRAC_KERNELS = {"_singular_values", "_null_space", "_solve_square",
+                 "_solve_gram"}
+
+#: np.linalg / scipy.linalg names any function may use
+LINALG_ANYWHERE = {"norm", "eig", "lstsq", "LinAlgError", "LinAlgWarning"}
+
+#: (module, function, name) outside the kernels, until the KKT solve of
+#: the relative-equilibrium Newton step is mended (ROADMAP item 4)
+LINALG_EXCEPTIONS = {("models.py", "_newton_refine", "solve")}
+
+
+def _linalg_uses(tree):
+    """(innermost enclosing function, name) for each np.linalg.* or
+    scipy.linalg.* attribute a module reads and each name it imports
+    from numpy.linalg or scipy.linalg."""
+    uses = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, ast.FunctionDef)
+                     else func)
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "linalg"
+                    and isinstance(child.value.value, ast.Name)
+                    and child.value.value.id in ("np", "numpy", "scipy")):
+                uses.append((func, child.attr))
+            elif (isinstance(child, ast.ImportFrom)
+                  and child.module in ("numpy.linalg", "scipy.linalg")):
+                uses.extend((func, a.name) for a in child.names)
+            visit(child, inner)
+
+    visit(tree, None)
+    return uses
+
+
+def test_dense_linear_algebra_in_dirac():
+    outside = []
+    for path in sorted(pathlib.Path(mdirac.__file__).parent.glob("*.py")):
+        for func, name in _linalg_uses(ast.parse(path.read_text())):
+            if not (name in LINALG_ANYWHERE
+                    or (path.name == "dirac.py" and func in DIRAC_KERNELS)
+                    or (path.name, func, name) in LINALG_EXCEPTIONS):
+                outside.append("%s:%s %s" % (path.name, func, name))
+    assert outside == []
